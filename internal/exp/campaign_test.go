@@ -1,14 +1,17 @@
 package exp
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
-	"regexp"
-	"strconv"
-
 	"checkpointsim/internal/cache"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/runner"
 )
 
 // render concatenates rendered tables, as cmd/sweep and the service do.
@@ -347,5 +350,78 @@ func TestCampaignResilienceScenariosRun(t *testing.T) {
 	}
 	if metricValue(t, out, "ckpt_forced") == 0 {
 		t.Error("CIC scenario forced no checkpoints on the all-to-all workload")
+	}
+}
+
+// The rendered tables of the first 64 points of the seed-1 default
+// campaign are pinned to a golden file, so any change to scenario assembly,
+// the engine, or the validator wiring that shifts campaign output shows up
+// as a diff. The prefix covers every value of every axis, so the pin spans
+// each protocol, failure law, storage tier and noise level.
+func TestCampaignGoldenSeed1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full scenario simulations")
+	}
+	space := DefaultCampaignSpace()
+	sched, err := space.Schedule(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, sc := range sched {
+		for _, v := range []string{"workload=" + sc.Workload, "protocol=" + sc.Protocol,
+			"failure=" + sc.FailureLaw, "storage=" + sc.Storage, "noise=" + sc.Noise} {
+			seen[v] = true
+		}
+	}
+	axes := []struct {
+		prefix string
+		values []string
+	}{
+		{"workload=", space.Workloads},
+		{"protocol=", space.Protocols},
+		{"failure=", space.FailureLaws},
+		{"storage=", space.StorageTiers},
+		{"noise=", space.NoiseLevels},
+	}
+	covered := 0
+	for _, ax := range axes {
+		for _, v := range ax.values {
+			if seen[ax.prefix+v] {
+				covered++
+			} else {
+				t.Errorf("the 64-point prefix never draws %s%s", ax.prefix, v)
+			}
+		}
+	}
+	if covered != 26 {
+		t.Errorf("prefix covers %d axis values, want all 26", covered)
+	}
+
+	out, err := runner.Map(0, sched, func(i int, sc Scenario) (string, error) {
+		tb, err := sc.Run(DefaultOptions())
+		if err != nil {
+			return "", fmt.Errorf("point %d %s: %w", i, sc.ID(), err)
+		}
+		return render(tb), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(out, "")
+	path := filepath.Join("testdata", "campaign_seed1_n64.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("campaign output drifted from golden %s\n--- got ---\n%s--- want ---\n%s",
+			path, got, want)
 	}
 }
