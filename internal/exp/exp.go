@@ -1,4 +1,4 @@
-// Package exp defines the reproduction experiments E1–E17: one function
+// Package exp defines the reproduction experiments E1–E19: one function
 // per table/figure of the study, each returning report tables that
 // cmd/sweep prints and bench_test.go exercises. DESIGN.md carries the
 // experiment index; EXPERIMENTS.md records measured outputs.
@@ -22,6 +22,7 @@ import (
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/rng"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
@@ -199,56 +200,77 @@ func buildProg(name string, ranks, iters int, compute simtime.Duration, bytes in
 	})
 }
 
-// simulate runs one configuration to completion. With o.Validate set, the
-// run streams through a trace-conformance checker and any invariant
-// violation is returned as an error; capped runs (ErrCapExceeded) are
-// passed through unvalidated — there is no result to reconcile.
+// simulate runs one hand-assembled configuration of an experiment sweep.
 func simulate(o Options, net network.Params, prog *goal.Program, seed uint64, maxTime simtime.Time, agents ...sim.Agent) (*sim.Result, error) {
+	return simulateBuilt(o, &run.Built{Sim: sim.Config{Net: net, Program: prog,
+		Agents: agents, Seed: seed, MaxTime: maxTime}})
+}
+
+// simulateBuilt runs one sweep point. A sweep performs many simulations per
+// experiment, so it rejects ResumeFrom and ignores OnSnapshot: with
+// SnapshotEvery set, every point verifies its own snapshots.
+func simulateBuilt(o Options, b *run.Built) (*sim.Result, error) {
 	if o.ResumeFrom != nil {
 		return nil, fmt.Errorf("exp: ResumeFrom applies to single-simulation scenario runs, not experiment sweeps")
 	}
-	cfg := sim.Config{Net: net, Program: prog, Agents: agents,
-		Seed: seed, MaxTime: maxTime}
+	o.OnSnapshot = nil
+	return execute(o, b)
+}
+
+// execute is the one executor behind every experiment point and campaign
+// scenario. With o.Validate set, the run streams through a
+// trace-conformance checker and the post-run reconciliation must pass;
+// capped runs (ErrCapExceeded) are passed through unvalidated — there is
+// no result to reconcile — and so are resumed runs, whose trace does not
+// start at t=0. With o.SnapshotEvery > 0 the run snapshots: into
+// o.OnSnapshot when set (streaming, or continuing a resumed run), else into
+// memory, after which every snapshot is replayed and must reproduce the
+// run byte for byte (verifyResume).
+func execute(o Options, b *run.Built) (*sim.Result, error) {
+	cfg := b.Sim
 	var chk *validate.Checker
-	if o.Validate {
-		chk = validate.New(net)
-		cfg.Trace = chk.Hook(nil)
+	if o.Validate && o.ResumeFrom == nil {
+		chk = validate.New(cfg.Net)
+		cfg.Trace = chk.Hook(cfg.Trace)
 	}
-	if o.SnapshotEvery > 0 {
-		return simulateVerified(o, cfg, chk)
+	var full []sim.TraceEvent
+	var snaps []sim.Snapshot
+	selfVerify := o.SnapshotEvery > 0 && o.OnSnapshot == nil && o.ResumeFrom == nil
+	switch {
+	case selfVerify:
+		inner := cfg.Trace
+		cfg.Trace = func(ev sim.TraceEvent) {
+			full = append(full, ev)
+			if inner != nil {
+				inner(ev)
+			}
+		}
+		cfg.SnapshotEvery = o.SnapshotEvery
+		cfg.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
+	case o.SnapshotEvery > 0 && o.OnSnapshot != nil:
+		cfg.SnapshotEvery = o.SnapshotEvery
+		cfg.OnSnapshot = func(s sim.Snapshot) {
+			if o.Snapshots != nil {
+				atomic.AddInt64(o.Snapshots, 1)
+			}
+			o.OnSnapshot(s)
+		}
 	}
-	e, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.Run()
+	res, err := run.Simulate(cfg, o.ResumeFrom)
 	if res != nil && o.Events != nil {
 		atomic.AddInt64(o.Events, res.Events)
 	}
-	if err != nil || chk == nil {
-		return res, err
-	}
-	if verr := chk.Finish(res); verr != nil {
-		return nil, verr
-	}
-	for _, a := range agents {
-		if tl, ok := a.(validate.TaxedLogger); ok {
-			if verr := chk.CheckLogging(tl); verr != nil {
-				return nil, verr
-			}
-		}
-		if rm, ok := a.(validate.ReplicaMirror); ok {
-			if verr := chk.CheckReplication(rm); verr != nil {
-				return nil, verr
-			}
-		}
-		if ci, ok := a.(validate.CICIntrospect); ok {
-			if verr := chk.CheckCIC(ci); verr != nil {
-				return nil, verr
-			}
+	if err == nil && chk != nil {
+		if verr := chk.Reconcile(res, b.Store, cfg.Agents...); verr != nil {
+			return nil, verr
 		}
 	}
-	return res, nil
+	if selfVerify {
+		if verr := verifyResume(cfg, snaps, full, res, err, o.Snapshots); verr != nil {
+			return nil, verr
+		}
+	}
+	return res, err
 }
 
 // overheadPct computes the relative makespan increase in percent.

@@ -16,60 +16,9 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/sim"
-	"checkpointsim/internal/validate"
 )
-
-// simulateVerified is simulate's SnapshotEvery > 0 path: run once
-// monolithically (validating as configured), then re-run the remainder from
-// every snapshot and compare.
-func simulateVerified(o Options, cfg sim.Config, chk *validate.Checker) (*sim.Result, error) {
-	var full []sim.TraceEvent
-	var snaps []sim.Snapshot
-	inner := cfg.Trace
-	cfg.Trace = func(ev sim.TraceEvent) {
-		full = append(full, ev)
-		if inner != nil {
-			inner(ev)
-		}
-	}
-	cfg.SnapshotEvery = o.SnapshotEvery
-	cfg.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
-	e, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := e.Run()
-	if res != nil && o.Events != nil {
-		atomic.AddInt64(o.Events, res.Events)
-	}
-	if runErr == nil && chk != nil {
-		if verr := chk.Finish(res); verr != nil {
-			return nil, verr
-		}
-		for _, a := range cfg.Agents {
-			if tl, ok := a.(validate.TaxedLogger); ok {
-				if verr := chk.CheckLogging(tl); verr != nil {
-					return nil, verr
-				}
-			}
-			if rm, ok := a.(validate.ReplicaMirror); ok {
-				if verr := chk.CheckReplication(rm); verr != nil {
-					return nil, verr
-				}
-			}
-			if ci, ok := a.(validate.CICIntrospect); ok {
-				if verr := chk.CheckCIC(ci); verr != nil {
-					return nil, verr
-				}
-			}
-		}
-	}
-	if verr := verifyResume(cfg, snaps, full, res, runErr, o.Snapshots); verr != nil {
-		return nil, verr
-	}
-	return res, runErr
-}
 
 // verifyResume replays the run's remainder from each snapshot and compares
 // it against the monolithic run. cfg must be the monolithic run's config
@@ -97,14 +46,7 @@ func verifyResume(cfg sim.Config, snaps []sim.Snapshot, full []sim.TraceEvent,
 		rcfg.OnSnapshot = nil
 		var suffix []sim.TraceEvent
 		rcfg.Trace = func(ev sim.TraceEvent) { suffix = append(suffix, ev) }
-		eng, err := sim.New(rcfg)
-		if err != nil {
-			return fmt.Errorf("resume: %s: rebuild: %w", at, err)
-		}
-		if err := eng.Restore(s.Blob); err != nil {
-			return fmt.Errorf("resume: %s: restore: %w", at, err)
-		}
-		r2, err2 := eng.Run()
+		r2, err2 := run.Simulate(rcfg, s.Blob)
 		if runErr != nil {
 			if err2 == nil {
 				return fmt.Errorf("resume: %s: monolithic run failed (%v) but resumed run completed", at, runErr)

@@ -12,16 +12,15 @@ import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
-	"checkpointsim/internal/storage"
 )
 
 // Trace ingest: the study drove its simulator with recorded application
 // traces rather than synthetic kernels. TraceExperiment closes that gap —
 // any external GOAL program (cmd/tracegen output, a LogGOPSim trace, a
 // hand-written file) runs through the same protocol/storage/validator
-// stack as E1–E17, and the experiment ID carries a content digest so the
+// stack as E1–E19, and the experiment ID carries a content digest so the
 // sweepd cache addresses the trace bytes, not just a filename.
 
 // TraceDigestLen is the length of the hex digest embedded in a trace
@@ -115,54 +114,44 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 	t := report.NewTable("Trace "+name+": protocol suite",
 		"protocol", "makespan", "overhead%", "rounds", "writes", "logged")
 
-	// Each point builds its protocol fresh (agents are single-simulation)
-	// and its own store (stores arbitrate within one engine).
+	// Each point builds its protocol and store fresh through the facade
+	// (agents are single-simulation; stores arbitrate within one engine).
 	type pt struct {
 		name  string
-		build func(st *storageStore) (checkpoint.Protocol, error)
+		proto run.ProtocolConfig
 	}
 	points := []pt{
-		{"baseline", nil},
-		{"coordinated", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewCoordinated(st.params(tau, delta))
-		}},
-		{"uncoord-aligned", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewUncoordinated(st.params(tau, delta), checkpoint.Aligned, logp)
-		}},
-		{"uncoord-staggered", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewUncoordinated(st.params(tau, delta), checkpoint.Staggered, logp)
-		}},
-		{"hierarchical-c4", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewHierarchical(st.params(tau, delta), 4, logp)
-		}},
-		{"nonblocking", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewNonBlockingCoordinated(checkpoint.NonBlockingParams{
-				Params: st.params(tau, delta), Window: 4 * delta, Slowdown: 1.05})
-		}},
-		{"partner", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewPartner(checkpoint.PartnerParams{
-				Interval: tau, SerializeTime: delta, CkptBytes: 256 * 1024,
-				Offsets: checkpoint.Staggered, Store: st.store()})
-		}},
+		{"baseline", run.ProtocolConfig{}},
+		{"coordinated", run.ProtocolConfig{Kind: run.ProtoCoordinated, Interval: tau, Write: delta}},
+		{"uncoord-aligned", run.ProtocolConfig{Kind: run.ProtoUncoordinated, Offset: "aligned",
+			Interval: tau, Write: delta, Logging: logp}},
+		{"uncoord-staggered", run.ProtocolConfig{Kind: run.ProtoUncoordinated, Offset: "staggered",
+			Interval: tau, Write: delta, Logging: logp}},
+		{"hierarchical-c4", run.ProtocolConfig{Kind: run.ProtoHierarchical, ClusterSize: 4,
+			Interval: tau, Write: delta, Logging: logp}},
+		{"nonblocking", run.ProtocolConfig{Kind: run.ProtoNonBlocking, Window: 4 * delta, Slowdown: 1.05,
+			Interval: tau, Write: delta}},
+		{"partner", run.ProtocolConfig{Kind: run.ProtoPartner, CkptBytes: 256 * 1024,
+			Interval: tau, Write: delta}},
 	}
 
 	err = sweep(t, o, id, points, func(i int, p pt) (rows, error) {
 		var rs rows
-		if p.build == nil {
+		if p.proto.Kind == "" {
 			rs.add("baseline", simtime.Duration(base.Makespan).String(), 0.0,
 				int64(0), int64(0), int64(0))
 			return rs, nil
 		}
-		st := &storageStore{o: o}
-		proto, err := p.build(st)
+		b, err := run.Build(run.RunConfig{Program: prog, Net: net, Storage: o.Storage,
+			Protocol: p.proto, Seed: pointSeed(o, id, i)})
 		if err != nil {
 			return nil, err
 		}
-		r, err := simulate(o, net, prog, pointSeed(o, id, i), 0, sim.Agent(proto))
+		r, err := simulateBuilt(o, b)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
-		s := proto.Stats()
+		s := b.Protocol.Stats()
 		rs.add(p.name, simtime.Duration(r.Makespan).String(), overheadPct(r, base),
 			s.Rounds, s.Writes, s.LoggedMessages)
 		return rs, nil
@@ -174,25 +163,4 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 	t.AddNote(fmt.Sprintf("τ = makespan/8 = %v, δ = τ/10 = %v; logging α=%v β=%gns/B",
 		tau, delta, logp.Alpha, logp.BetaNsPerByte))
 	return []*report.Table{t}, nil
-}
-
-// storageStore builds one simulation's store lazily from the run options,
-// so a sweep point constructs at most one store (stores arbitrate within a
-// single engine and must never be shared across points).
-type storageStore struct {
-	o     Options
-	built bool
-	st    *storage.Store
-}
-
-func (s *storageStore) store() *storage.Store {
-	if !s.built {
-		s.st = storeFor(s.o)
-		s.built = true
-	}
-	return s.st
-}
-
-func (s *storageStore) params(tau, delta simtime.Duration) checkpoint.Params {
-	return checkpoint.Params{Interval: tau, Write: delta, Store: s.store()}
 }

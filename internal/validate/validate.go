@@ -805,3 +805,37 @@ func (c *Checker) CheckCIC(p CICIntrospect) error {
 	}
 	return c.Err()
 }
+
+// Reconcile is the complete post-run sweep for one simulation that ran to
+// completion under this checker: Finish, then the store's counters when st
+// is non-nil, then every agent's own counters — logging, replication and
+// CIC — for each agent that exposes that surface. It returns the first
+// failing check's error.
+func (c *Checker) Reconcile(res *sim.Result, st *storage.Store, agents ...sim.Agent) error {
+	if err := c.Finish(res); err != nil {
+		return err
+	}
+	if st != nil {
+		if err := c.CheckStorage(st.Stats()); err != nil {
+			return err
+		}
+	}
+	for _, a := range agents {
+		if tl, ok := a.(TaxedLogger); ok {
+			if err := c.CheckLogging(tl); err != nil {
+				return err
+			}
+		}
+		if rm, ok := a.(ReplicaMirror); ok {
+			if err := c.CheckReplication(rm); err != nil {
+				return err
+			}
+		}
+		if ci, ok := a.(CICIntrospect); ok {
+			if err := c.CheckCIC(ci); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
