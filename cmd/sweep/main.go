@@ -1,4 +1,4 @@
-// Command sweep regenerates the reproduction experiments (E1–E17, see
+// Command sweep regenerates the reproduction experiments (E1–E19, see
 // DESIGN.md §4) and prints their tables.
 //
 // Usage:
