@@ -113,27 +113,31 @@ func ParseTolerance(s string) (float64, error) {
 
 // FormatComparison renders the old-vs-new table plus a verdict line. The
 // speedup column reads >1 for improvements so before/after snapshots
-// double as a progress report.
+// double as a progress report. Bytes/op is shown but not gated: a FIFO
+// that keeps its drained slots moves bytes, not allocation counts, so
+// the column is where such a change shows.
 func FormatComparison(old, cur File, regs []Regression, tol float64) string {
 	var sb strings.Builder
 	if old.Mode != cur.Mode {
 		fmt.Fprintf(&sb, "warning: comparing %s run against %s baseline\n", cur.Mode, old.Mode)
 	}
-	fmt.Fprintf(&sb, "%-5s %12s %12s %8s %14s %14s\n",
-		"exp", "old ms/op", "new ms/op", "speedup", "old allocs/op", "new allocs/op")
+	fmt.Fprintf(&sb, "%-5s %12s %12s %8s %14s %14s %10s %10s\n",
+		"exp", "old ms/op", "new ms/op", "speedup", "old allocs/op", "new allocs/op",
+		"old MB/op", "new MB/op")
 	for _, n := range cur.Entries {
 		o, ok := old.find(n.Name)
 		if !ok {
-			fmt.Fprintf(&sb, "%-5s %12s %12.2f %8s %14s %14d  (no baseline)\n",
-				n.Name, "-", n.NsPerOp/1e6, "-", "-", n.AllocsPerOp)
+			fmt.Fprintf(&sb, "%-5s %12s %12.2f %8s %14s %14d %10s %10.2f  (no baseline)\n",
+				n.Name, "-", n.NsPerOp/1e6, "-", "-", n.AllocsPerOp, "-", mb(n.BytesPerOp))
 			continue
 		}
 		speedup := 0.0
 		if n.NsPerOp > 0 {
 			speedup = o.NsPerOp / n.NsPerOp
 		}
-		fmt.Fprintf(&sb, "%-5s %12.2f %12.2f %7.2fx %14d %14d\n",
-			n.Name, o.NsPerOp/1e6, n.NsPerOp/1e6, speedup, o.AllocsPerOp, n.AllocsPerOp)
+		fmt.Fprintf(&sb, "%-5s %12.2f %12.2f %7.2fx %14d %14d %10.2f %10.2f\n",
+			n.Name, o.NsPerOp/1e6, n.NsPerOp/1e6, speedup, o.AllocsPerOp, n.AllocsPerOp,
+			mb(o.BytesPerOp), mb(n.BytesPerOp))
 	}
 	if len(regs) == 0 {
 		fmt.Fprintf(&sb, "PASS: no regression beyond %.0f%%\n", tol*100)
@@ -145,3 +149,6 @@ func FormatComparison(old, cur File, regs []Regression, tol float64) string {
 	}
 	return sb.String()
 }
+
+// mb converts bytes to decimal megabytes for the report.
+func mb(bytes int64) float64 { return float64(bytes) / 1e6 }

@@ -53,8 +53,8 @@ func main() {
 		e, _ := exp.ByID(id)
 		fmt.Fprintf(os.Stderr, "bench %-4s %s ... ", id, e.Title)
 		entry := runBench(e, *quick, *jobs, *reps)
-		fmt.Fprintf(os.Stderr, "%.1fms/op  %d allocs/op  %.2gM events/s\n",
-			entry.NsPerOp/1e6, entry.AllocsPerOp, entry.EventsPerSec/1e6)
+		fmt.Fprintf(os.Stderr, "%.1fms/op  %d allocs/op  %.1fMB/op  %.2gM events/s\n",
+			entry.NsPerOp/1e6, entry.AllocsPerOp, mb(entry.BytesPerOp), entry.EventsPerSec/1e6)
 		cur.Entries = append(cur.Entries, entry)
 	}
 

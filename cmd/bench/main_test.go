@@ -96,6 +96,44 @@ func TestCompareSkipsZeroEventsPerSec(t *testing.T) {
 	}
 }
 
+// Bytes/op appears old→new in the table but never gates: a fivefold
+// change in either direction still passes.
+func TestCompareReportsBytesWithoutGating(t *testing.T) {
+	old := baseline()
+	cur := baseline()
+	cur.Entries[0].BytesPerOp = old.Entries[0].BytesPerOp * 5
+	cur.Entries[1].BytesPerOp = old.Entries[1].BytesPerOp / 5
+	cur.Entries = append(cur.Entries, Entry{Name: "E99", NsPerOp: 1e6, BytesPerOp: 2_500_000})
+	regs := Compare(old, cur, 0.10)
+	if len(regs) != 0 {
+		t.Fatalf("bytes/op change flagged as a regression: %+v", regs)
+	}
+	out := FormatComparison(old, cur, regs, 0.10)
+	lines := strings.Split(out, "\n")
+	if !strings.Contains(lines[0], "old MB/op") || !strings.Contains(lines[0], "new MB/op") {
+		t.Fatalf("header lacks the bytes columns:\n%s", out)
+	}
+	// The last two columns of each row (before any note) are old and new MB/op.
+	for name, want := range map[string]string{"E8": "15.00 75.00", "E17": "17.00 3.40", "E99": "- 2.50"} {
+		found := false
+		for _, line := range lines {
+			f := strings.Fields(strings.TrimSuffix(line, "  (no baseline)"))
+			if len(f) == 8 && f[0] == name {
+				found = true
+				if got := f[6] + " " + f[7]; got != want {
+					t.Errorf("%s MB/op columns = %q, want %q", name, got, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no %s row in:\n%s", name, out)
+		}
+	}
+	if !strings.Contains(out, "PASS") {
+		t.Fatalf("report missing PASS:\n%s", out)
+	}
+}
+
 func TestCompareWithinToleranceAndNewEntries(t *testing.T) {
 	old := baseline()
 	cur := baseline()

@@ -32,7 +32,36 @@ type e18Cell struct {
 	winner               string
 }
 
-const e18Cap = simtime.Time(60 * simtime.Second)
+const (
+	e18Cap     = simtime.Time(60 * simtime.Second)
+	e18Write   = 2 * simtime.Millisecond // checkpoint write δ
+	e18Restart = 2 * simtime.Millisecond
+)
+
+// e18Tau is the Daly interval for p ranks of per-node MTBF mtbf.
+func e18Tau(p int, mtbf simtime.Duration) simtime.Duration {
+	sys := float64(mtbf.Seconds()) / float64(p)
+	tau := simtime.FromSeconds(model.DalyInterval(e18Write.Seconds(), sys))
+	if tau <= 0 {
+		tau = e18Write * 2
+	}
+	return tau
+}
+
+// e18Coordinated assembles coordinated checkpointing with global rollback,
+// the grid's discipline whose rollbacks queue fastest.
+func e18Coordinated(tau, mtbf simtime.Duration) (*checkpoint.Coordinated, *failure.Injector, error) {
+	cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: e18Write})
+	if err != nil {
+		return nil, nil, err
+	}
+	inj, err := failure.NewInjector(failure.Config{
+		MTBF: mtbf, Restart: e18Restart, Kind: failure.RollbackGlobal}, cp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cp, inj, nil
+}
 
 // E18Replication maps the three-way protocol crossover on the
 // (scale × per-node MTBF) grid: coordinated checkpointing with global
@@ -73,10 +102,6 @@ func e18Grid(o Options) ([]e18Cell, error) {
 			1600 * simtime.Millisecond, 6400 * simtime.Millisecond},
 		[]simtime.Duration{100 * simtime.Millisecond, simtime.Second})
 	iters := pick(o, 60, 30)
-	const (
-		write   = 2 * simtime.Millisecond
-		restart = 2 * simtime.Millisecond
-	)
 	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.1}
 
 	var points []e18Point
@@ -89,11 +114,7 @@ func e18Grid(o Options) ([]e18Cell, error) {
 	cells, err := runner.MapCtx(o.ctx(), o.Jobs, points, func(i int, pt e18Point) (e18Cell, error) {
 		sd := pointSeed(o, "E18", i)
 		p := pt.ranks
-		sys := float64(pt.mtbf.Seconds()) / float64(p)
-		tau := simtime.FromSeconds(model.DalyInterval(write.Seconds(), sys))
-		if tau <= 0 {
-			tau = write * 2
-		}
+		tau := e18Tau(p, pt.mtbf)
 
 		// The checkpointing protocols run the full-width application; the
 		// replication run embeds a half-width application doing 2× the
@@ -137,12 +158,7 @@ func e18Grid(o Options) ([]e18Cell, error) {
 		}
 
 		// Coordinated + global rollback.
-		cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write})
-		if err != nil {
-			return e18Cell{}, err
-		}
-		injG, err := failure.NewInjector(failure.Config{
-			MTBF: pt.mtbf, Restart: restart, Kind: failure.RollbackGlobal}, cp)
+		cp, injG, err := e18Coordinated(tau, pt.mtbf)
 		if err != nil {
 			return e18Cell{}, err
 		}
@@ -153,13 +169,13 @@ func e18Grid(o Options) ([]e18Cell, error) {
 		cell.failures = len(injG.Events())
 
 		// Uncoordinated + local replay.
-		up, err := checkpoint.NewUncoordinated(checkpoint.Params{Interval: tau, Write: write},
+		up, err := checkpoint.NewUncoordinated(checkpoint.Params{Interval: tau, Write: e18Write},
 			checkpoint.Staggered, logp)
 		if err != nil {
 			return e18Cell{}, err
 		}
 		injL, err := failure.NewInjector(failure.Config{
-			MTBF: pt.mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}, up)
+			MTBF: pt.mtbf, Restart: e18Restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}, up)
 		if err != nil {
 			return e18Cell{}, err
 		}
@@ -174,7 +190,7 @@ func e18Grid(o Options) ([]e18Cell, error) {
 			return e18Cell{}, err
 		}
 		injR, err := failure.NewInjector(failure.Config{
-			MTBF: pt.mtbf, Restart: restart, Kind: failure.TakeoverReplica}, rp)
+			MTBF: pt.mtbf, Restart: e18Restart, Kind: failure.TakeoverReplica}, rp)
 		if err != nil {
 			return e18Cell{}, err
 		}

@@ -277,18 +277,19 @@ const (
 // string-keyed map updates; Result re-expands IDs to strings at the end.
 type reasonID int32
 
-// job is a unit of CPU occupancy on one rank.
+// job is a unit of CPU occupancy on one rank. The four 4-byte-or-smaller
+// fields come first so the struct packs into 56 bytes (queue_test.go pins
+// it): every queued and running job pays for any padding.
 type job struct {
-	kind   jobKind
-	cost   simtime.Duration
-	op     goal.OpID
-	msg    *message
-	reason reasonID           // seizures: interned accounting key
-	fn     func(simtime.Time) // seizures/control: completion callback
-	// Open-ended seizures (jobSeizeOpen) only:
-	nominal    simtime.Duration // portion accounted under reason; excess goes to waitReason
-	waitReason reasonID
-	granted    func(start simtime.Time, release func())
+	kind       jobKind
+	op         goal.OpID
+	reason     reasonID // seizures: interned accounting key
+	waitReason reasonID // open-ended seizures: key for time beyond nominal
+	cost       simtime.Duration
+	nominal    simtime.Duration // open-ended seizures: portion accounted under reason
+	msg        *message
+	fn         func(simtime.Time)                       // seizures/control: completion callback
+	granted    func(start simtime.Time, release func()) // open-ended seizures only
 }
 
 // postedRecv is a receive waiting for a matching message.
@@ -303,7 +304,7 @@ type rankState struct {
 	// Three CPU queues, granted in this order: service seizures (checkpoint
 	// writes, recovery, noise), then control/progress traffic, then — only
 	// when no hold gate is closed — application work.
-	seizeQ fifo[job]
+	seizeQ seizeQueue
 	ctlQ   fifo[job]
 	appQ   fifo[job]
 	// held counts open HoldApp gates; application jobs are not granted the
@@ -333,7 +334,22 @@ type fifo[T any] struct {
 	head  int
 }
 
-func (f *fifo[T]) push(v T) { f.items = append(f.items, v) }
+// push appends v. When the backing array is full and at least half of it
+// is already-popped slots, the live tail slides to the front instead of
+// the array growing. The capacity then follows the peak live depth, not
+// the number of pushes since the queue last emptied, and each slide moves
+// at most as many items as were popped since the previous one.
+func (f *fifo[T]) push(v T) {
+	if n := len(f.items); n == cap(f.items) && f.head > 0 && f.head >= n/2 {
+		live := copy(f.items, f.items[f.head:])
+		clear(f.items[live:])
+		f.items = f.items[:live]
+		f.head = 0
+	}
+	f.items = append(f.items, v)
+}
+
+func (f *fifo[T]) len() int { return len(f.items) - f.head }
 func (f *fifo[T]) empty() bool {
 	return f.head >= len(f.items)
 }
@@ -347,6 +363,70 @@ func (f *fifo[T]) pop() T {
 		f.head = 0
 	}
 	return v
+}
+
+// seizeQueue is a rank's seizure FIFO. A failure storm queues one plain
+// seizure (fixed cost, no callback) per rank per rollback, so those are
+// stored as pointer-free 16-byte entries that the GC never scans. Any
+// other job — a seizure with a done or granted closure, or a job of
+// another kind that a snapshot restores into this queue — keeps its full
+// form in the side FIFO fat, and its entry in order only marks its turn.
+// pop rebuilds exactly the job that was pushed.
+type seizeQueue struct {
+	order fifo[seizeEntry]
+	fat   fifo[job]
+}
+
+// seizeEntry is one queued seizure in grant order: a plain seizure's cost
+// and reason, or, when fat is set, a placeholder for the next job in
+// seizeQueue.fat.
+type seizeEntry struct {
+	cost   simtime.Duration
+	reason reasonID
+	fat    bool
+}
+
+// plainSeize reports whether j is exactly job{kind: jobSeize, cost: c,
+// reason: r} for some c and r, so a seizeEntry reproduces it.
+func plainSeize(j *job) bool {
+	return j.kind == jobSeize && j.op == 0 && j.waitReason == 0 && j.nominal == 0 &&
+		j.msg == nil && j.fn == nil && j.granted == nil
+}
+
+func (s seizeEntry) job() job { return job{kind: jobSeize, cost: s.cost, reason: s.reason} }
+
+func (q *seizeQueue) push(j job) {
+	if plainSeize(&j) {
+		q.order.push(seizeEntry{cost: j.cost, reason: j.reason})
+		return
+	}
+	q.order.push(seizeEntry{fat: true})
+	q.fat.push(j)
+}
+
+func (q *seizeQueue) len() int    { return q.order.len() }
+func (q *seizeQueue) empty() bool { return q.order.empty() }
+
+func (q *seizeQueue) pop() job {
+	if s := q.order.pop(); !s.fat {
+		return s.job()
+	}
+	return q.fat.pop()
+}
+
+// each calls fn with every queued job in grant order, as pop would return
+// them.
+func (q *seizeQueue) each(fn func(*job)) {
+	fat := q.fat.head
+	for _, s := range q.order.items[q.order.head:] {
+		if s.fat {
+			fn(&q.fat.items[fat])
+			fat++
+			continue
+		}
+		j := s.job()
+		fn(&j)
+	}
 }
 
 // Context is the API surface the engine exposes to agents. It is the engine
@@ -382,6 +462,10 @@ type Engine struct {
 	seizeCnt    []int64
 	heldTime    []simtime.Duration
 	heldCnt     []int64
+	// lastReason is the most recently interned ID (-1 before any): a global
+	// rollback seizes every rank under one reason, so most requests repeat
+	// the previous one and skip the map.
+	lastReason reasonID
 	// msgFree recycles message structs: every message has exactly one
 	// release point (matched, data delivery, control delivery), so the
 	// steady-state engine loop allocates none.
@@ -428,14 +512,15 @@ func New(cfg Config) (*Engine, error) {
 		cfg.MaxEvents = 1 << 62
 	}
 	e := &Engine{
-		cfg:       cfg,
-		prog:      cfg.Program,
-		net:       cfg.Net,
-		ranks:     make([]rankState, cfg.Program.NumRanks),
-		depsLeft:  make([]int32, len(cfg.Program.Ops)),
-		opsLeft:   len(cfg.Program.Ops),
-		rand:      rng.New(cfg.Seed),
-		reasonIDs: make(map[string]reasonID),
+		cfg:        cfg,
+		prog:       cfg.Program,
+		net:        cfg.Net,
+		ranks:      make([]rankState, cfg.Program.NumRanks),
+		depsLeft:   make([]int32, len(cfg.Program.Ops)),
+		opsLeft:    len(cfg.Program.Ops),
+		rand:       rng.New(cfg.Seed),
+		reasonIDs:  make(map[string]reasonID),
+		lastReason: -1,
 	}
 	if cfg.SnapshotEvery > 0 && cfg.OnSnapshot == nil {
 		return nil, fmt.Errorf("sim: SnapshotEvery set without OnSnapshot")
@@ -468,10 +553,15 @@ func New(cfg Config) (*Engine, error) {
 // tiny and the map is touched once per seize/hold *request*, never per
 // completion event.
 func (e *Engine) internReason(reason string) reasonID {
+	if id := e.lastReason; id >= 0 && e.reasons[id] == reason {
+		return id
+	}
 	if id, ok := e.reasonIDs[reason]; ok {
+		e.lastReason = id
 		return id
 	}
 	id := reasonID(len(e.reasons))
+	e.lastReason = id
 	e.reasonIDs[reason] = id
 	e.reasons = append(e.reasons, reason)
 	e.seizeLabels = append(e.seizeLabels, "seize:"+reason)

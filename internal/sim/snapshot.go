@@ -170,7 +170,8 @@ func (e *Engine) safeBoundary() bool {
 		if st.running && !jobSerializable(&st.runningJob) {
 			return false
 		}
-		if !fifoSerializable(&st.seizeQ) || !fifoSerializable(&st.ctlQ) || !fifoSerializable(&st.appQ) {
+		// Plain seizure entries hold no closures; only the side FIFO can.
+		if !fifoSerializable(&st.seizeQ.fat) || !fifoSerializable(&st.ctlQ) || !fifoSerializable(&st.appQ) {
 			return false
 		}
 	}
@@ -349,23 +350,30 @@ func (e *Engine) decodeJob(dec *snapshot.Decoder) job {
 }
 
 func (e *Engine) encodeFifo(enc *snapshot.Encoder, f *fifo[job]) {
-	enc.Int(len(f.items) - f.head)
+	enc.Int(f.len())
 	for i := f.head; i < len(f.items); i++ {
 		e.encodeJob(enc, &f.items[i])
 	}
 }
 
-func (e *Engine) decodeFifo(dec *snapshot.Decoder) fifo[job] {
+// encodeSeizeQueue writes the same length-prefixed job sequence as
+// encodeFifo, so the byte format does not depend on how seizures are
+// stored.
+func (e *Engine) encodeSeizeQueue(enc *snapshot.Encoder, q *seizeQueue) {
+	enc.Int(q.len())
+	q.each(func(j *job) { e.encodeJob(enc, j) })
+}
+
+// decodeJobs reads a length-prefixed job sequence into push.
+func (e *Engine) decodeJobs(dec *snapshot.Decoder, push func(job)) {
 	n := dec.Int()
 	if n < 0 || n > dec.Remaining() {
 		dec.Failf("fifo length %d", n)
-		return fifo[job]{}
+		return
 	}
-	var f fifo[job]
 	for i := 0; i < n; i++ {
-		f.push(e.decodeJob(dec))
+		push(e.decodeJob(dec))
 	}
-	return f
 }
 
 func (e *Engine) encodeRank(enc *snapshot.Encoder, st *rankState) {
@@ -377,7 +385,7 @@ func (e *Engine) encodeRank(enc *snapshot.Encoder, st *rankState) {
 		e.encodeJob(enc, &st.runningJob)
 		enc.Time(st.jobStart)
 	}
-	e.encodeFifo(enc, &st.seizeQ)
+	e.encodeSeizeQueue(enc, &st.seizeQ)
 	e.encodeFifo(enc, &st.ctlQ)
 	e.encodeFifo(enc, &st.appQ)
 	enc.Dur(st.scaledExtra)
@@ -407,9 +415,9 @@ func (e *Engine) decodeRank(dec *snapshot.Decoder, st *rankState) {
 		st.runningJob = e.decodeJob(dec)
 		st.jobStart = dec.Time()
 	}
-	st.seizeQ = e.decodeFifo(dec)
-	st.ctlQ = e.decodeFifo(dec)
-	st.appQ = e.decodeFifo(dec)
+	e.decodeJobs(dec, st.seizeQ.push)
+	e.decodeJobs(dec, st.ctlQ.push)
+	e.decodeJobs(dec, st.appQ.push)
 	st.scaledExtra = dec.Dur()
 	st.nicFreeAt = dec.Time()
 	nOps := goal.OpID(len(e.prog.Ops))
@@ -509,26 +517,34 @@ func (e *Engine) encodeSnapshot() []byte {
 	enc.U64(e.queue.Seq())
 	enc.Int(e.queue.Len())
 	e.queue.Items(func(t simtime.Time, prio int, seq uint64, ev event) bool {
-		enc.Time(t)
-		enc.Int(prio)
-		enc.U64(seq)
-		enc.U8(uint8(ev.kind))
-		switch ev.kind {
-		case evJobDone:
-			enc.I64(int64(ev.rank))
-		case evArrive:
-			encodeMsg(&enc, ev.msg)
-		case evTimer:
-			if ev.fn != nil {
-				panic("sim: encoding closure timer")
-			}
-			enc.Int(int(ev.owner))
-			enc.U8(ev.tkind)
-			enc.I64(ev.targ)
-		}
+		encodeEvent(&enc, t, prio, seq, &ev)
 		return true
 	})
 	return snapshot.Seal(snapshot.FormatVersion, enc.Bytes())
+}
+
+// encodeEvent writes one queued event with its exact ordering key. The
+// queue section lists events in the calendar queue's storage order, which
+// a restored queue need not share, so re-encoding a restored engine can
+// permute this section (and only this section).
+func encodeEvent(enc *snapshot.Encoder, t simtime.Time, prio int, seq uint64, ev *event) {
+	enc.Time(t)
+	enc.Int(prio)
+	enc.U64(seq)
+	enc.U8(uint8(ev.kind))
+	switch ev.kind {
+	case evJobDone:
+		enc.I64(int64(ev.rank))
+	case evArrive:
+		encodeMsg(enc, ev.msg)
+	case evTimer:
+		if ev.fn != nil {
+			panic("sim: encoding closure timer")
+		}
+		enc.Int(int(ev.owner))
+		enc.U8(ev.tkind)
+		enc.I64(ev.targ)
+	}
 }
 
 // Restore loads a snapshot into an engine that has not yet run. The engine
@@ -620,6 +636,7 @@ func (e *Engine) Restore(blob []byte) (err error) {
 		dec.Failf("reason count %d", nr)
 	}
 	e.reasonIDs = make(map[string]reasonID, nr)
+	e.lastReason = -1
 	e.reasons = e.reasons[:0]
 	e.seizeLabels = e.seizeLabels[:0]
 	e.seizeTime = e.seizeTime[:0]

@@ -61,6 +61,7 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 		"seizeCnt":    "serialized with the reason table",
 		"heldTime":    "serialized with the reason table",
 		"heldCnt":     "serialized with the reason table",
+		"lastReason":  "intern memo, reset to -1 on restore (rebuilt as reasons are requested)",
 		"msgFree": "deliberately NOT serialized: the recycling pool holds only zeroed " +
 			"structs awaiting reuse; a restored engine rebuilds it empty with no " +
 			"observable effect on the simulation (see encodeSnapshot)",
@@ -79,7 +80,7 @@ func TestSnapshotCoversRankStateFields(t *testing.T) {
 		"running":     "serialized",
 		"runningJob":  "serialized when running",
 		"jobStart":    "serialized when running",
-		"seizeQ":      "serialized job-by-job",
+		"seizeQ":      "serialized job-by-job in grant order (see TestSnapshotCoversSeizeQueueFields)",
 		"ctlQ":        "serialized job-by-job",
 		"appQ":        "serialized job-by-job",
 		"held":        "must be zero at a safe boundary (open holds carry closures); encodeRank panics otherwise",
@@ -107,6 +108,20 @@ func TestSnapshotCoversJobFields(t *testing.T) {
 		"nominal":    "serialized",
 		"waitReason": "serialized; bounds-checked against the restored reason table",
 		"granted":    "closure: jobSerializable blocks the snapshot boundary while set",
+	})
+}
+
+// The seize queue stores jobs in two forms; both must be covered, so a
+// field added to either type cannot slip past encodeSeizeQueue.
+func TestSnapshotCoversSeizeQueueFields(t *testing.T) {
+	requireFields(t, reflect.TypeOf(seizeQueue{}), map[string]string{
+		"order": "serialized: each entry is re-expanded to its job and encoded via encodeJob",
+		"fat":   "serialized inline at its entry's turn; fifoSerializable blocks the boundary on closures",
+	})
+	requireFields(t, reflect.TypeOf(seizeEntry{}), map[string]string{
+		"cost":   "serialized as the rebuilt job's cost",
+		"reason": "serialized as the rebuilt job's reason; bounds-checked on decode",
+		"fat":    "storage form only: decode re-derives it from the job via plainSeize",
 	})
 }
 

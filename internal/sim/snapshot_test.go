@@ -8,7 +8,13 @@ package sim
 // engine contract in isolation.
 
 import (
+	"bytes"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"checkpointsim/internal/network"
@@ -132,6 +138,129 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+var updateSnapshots = flag.Bool("update", false, "rewrite testdata/snapshots from the current engine")
+
+// seizeBacklog counts the seizures queued across all ranks.
+func seizeBacklog(e *Engine) int {
+	n := 0
+	for i := range e.ranks {
+		n += e.ranks[i].seizeQ.len()
+	}
+	return n
+}
+
+// TestSnapshotGoldenBlobs pins the snapshot format: each committed blob,
+// one per seed and taken at the boundary with the deepest seize backlog,
+// restores into a fresh engine, re-encodes to its own bytes, and resumes
+// to the monolithic run's result. The blobs were sealed before the seize
+// queue changed representation, so they also prove that the storage
+// change left the bytes alone. The one allowed difference is the order of
+// the trailing event-queue records (see encodeEvent): the seed-1234 blob
+// lists them in an order its restored queue does not reproduce. An
+// intended format change bumps snapshot.FormatVersion and rewrites the
+// blobs with -update.
+func TestSnapshotGoldenBlobs(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42, 1234} {
+		path := filepath.Join("testdata", "snapshots", fmt.Sprintf("seed-%d.bin", seed))
+		if *updateSnapshots {
+			writeDeepestSnapshot(t, seed, path)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(snapConfig(seed, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Restore(blob); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if seizeBacklog(eng) == 0 {
+			t.Errorf("seed %d: golden blob has no queued seizures", seed)
+		}
+		if err := sameUpToQueueOrder(eng, blob); err != nil {
+			t.Errorf("seed %d: restored engine re-encodes differently: %v", seed, err)
+		}
+		got, err := eng.Run()
+		if err != nil {
+			t.Fatalf("seed %d: resumed run: %v", seed, err)
+		}
+		_, _, want := monolithicRun(t, seed)
+		if got.Makespan != want.Makespan || got.Events != want.Events || got.Metrics != want.Metrics {
+			t.Errorf("seed %d: resumed run diverged (makespan %v vs %v, events %d vs %d)",
+				seed, got.Makespan, want.Makespan, got.Events, want.Events)
+		}
+	}
+}
+
+// sameUpToQueueOrder re-encodes eng, which was restored from blob, and
+// requires the payload to equal blob's except that the trailing queue
+// records, one encodeEvent each, may appear in another order. Records are
+// self-delimiting, so matching them greedily as prefixes is exact.
+func sameUpToQueueOrder(eng *Engine, blob []byte) error {
+	_, want, err := snapshot.Open(blob)
+	if err != nil {
+		return err
+	}
+	_, got, err := snapshot.Open(eng.encodeSnapshot())
+	if err != nil {
+		return err
+	}
+	var records [][]byte
+	tail := 0
+	eng.queue.Items(func(t simtime.Time, prio int, seq uint64, ev event) bool {
+		var enc snapshot.Encoder
+		encodeEvent(&enc, t, prio, seq, &ev)
+		records = append(records, enc.Bytes())
+		tail += len(enc.Bytes())
+		return true
+	})
+	if len(got) != len(want) || tail > len(want) {
+		return fmt.Errorf("payload is %d bytes, golden %d", len(got), len(want))
+	}
+	head := len(want) - tail
+	if !bytes.Equal(got[:head], want[:head]) {
+		return fmt.Errorf("state before the queue records differs")
+	}
+	rest := want[head:]
+	for len(rest) > 0 {
+		i := slices.IndexFunc(records, func(r []byte) bool { return bytes.HasPrefix(rest, r) })
+		if i < 0 {
+			return fmt.Errorf("golden queue record at offset %d matches no queued event", len(want)-len(rest))
+		}
+		rest = rest[len(records[i]):]
+		records = slices.Delete(records, i, i+1)
+	}
+	return nil
+}
+
+// writeDeepestSnapshot runs seed's configuration and writes the snapshot
+// taken with the most seizures queued to path.
+func writeDeepestSnapshot(t *testing.T, seed uint64, path string) {
+	t.Helper()
+	var eng *Engine
+	var best []byte
+	deepest := -1
+	eng, err := New(snapConfig(seed, func(s Snapshot) {
+		if d := seizeBacklog(eng); d > deepest {
+			best, deepest = s.Blob, d
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, best, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
