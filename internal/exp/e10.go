@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -18,41 +18,39 @@ func E10Hierarchical(o Options) ([]*report.Table, error) {
 	iters := pick(o, 60, 20)
 	clusters := pick(o, []int{1, 4, 8, 16, 64}, []int{1, 4, 16})
 	workloads := pick(o, []string{"stencil2d", "transpose"}, []string{"stencil2d"})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond}
 	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.2}
 
 	t := report.NewTable("E10: hierarchical cluster-size sweep (τ=10ms, δ=1ms, log β=0.2)",
 		"workload", "cluster", "overhead%", "logged-frac", "rounds", "ctl-msgs")
 	err := sweep(t, o, "E10", workloads, func(i int, w string) (rows, error) {
 		sd := pointSeed(o, "E10", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: w, Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		for _, c := range clusters {
-			if c > ranks {
+		for _, cl := range clusters {
+			if cl > ranks {
 				continue
 			}
-			hp, err := checkpoint.NewHierarchical(params, c, logp)
+			c := base
+			c.Protocol = run.ProtocolConfig{Kind: run.ProtoHierarchical, ClusterSize: cl,
+				Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond, Logging: logp}
+			r, b, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
-			// Same spec and seed as base: reuse the immutable program.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(hp))
-			if err != nil {
-				return nil, err
-			}
-			st := hp.Stats()
+			st := b.Protocol.Stats()
 			frac := 0.0
 			if r.Metrics.AppMessages > 0 {
 				frac = float64(st.LoggedMessages) / float64(r.Metrics.AppMessages)
 			}
-			rs.add(w, c, overheadPct(r, rBase), frac, st.Rounds, r.Metrics.CtlMessages)
+			rs.add(w, cl, r.OverheadPercent(rBase), frac, st.Rounds, r.Metrics.CtlMessages)
 		}
 		return rs, nil
 	})

@@ -1,9 +1,8 @@
 package exp
 
 import (
-	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -19,33 +18,32 @@ func E11NonBlocking(o Options) ([]*report.Table, error) {
 	ranks := pick(o, 64, 16)
 	iters := pick(o, 60, 25)
 	workloads := pick(o, []string{"stencil2d", "cg"}, []string{"stencil2d"})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
+	blocking := run.ProtocolConfig{Kind: run.ProtoCoordinated,
+		Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
 
 	t := report.NewTable("E11: blocking vs non-blocking coordinated (τ=10ms, δ=2ms)",
 		"workload", "protocol", "window", "slowdown", "overhead%", "rounds")
 	err := sweep(t, o, "E11", workloads, func(i int, w string) (rows, error) {
 		sd := pointSeed(o, "E11", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: w, Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
 
 		// Blocking reference.
-		cp, err := checkpoint.NewCoordinated(params)
-		if err != nil {
-			return nil, err
-		}
-		// Same spec and seed as base: reuse the immutable program.
-		r, err := simulate(o, net, base, sd, 0, sim.Agent(cp))
+		c := base
+		c.Protocol = blocking
+		r, b, err := runPoint(o, c)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		rs.add(w, "blocking", "-", "-", overheadPct(r, rBase), cp.Stats().Rounds)
+		rs.add(w, "blocking", "-", "-", r.OverheadPercent(rBase), b.Protocol.Stats().Rounds)
 
 		type variant struct {
 			window   simtime.Duration
@@ -60,17 +58,15 @@ func E11NonBlocking(o Options) ([]*report.Table, error) {
 			},
 			[]variant{{4 * simtime.Millisecond, 1.25}})
 		for _, v := range variants {
-			nb, err := checkpoint.NewNonBlockingCoordinated(checkpoint.NonBlockingParams{
-				Params: params, Window: v.window, Slowdown: v.slowdown})
-			if err != nil {
-				return nil, err
-			}
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(nb))
+			c.Protocol = blocking
+			c.Protocol.Kind = run.ProtoNonBlocking
+			c.Protocol.Window, c.Protocol.Slowdown = v.window, v.slowdown
+			r, b, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
 			rs.add(w, "non-blocking", v.window.String(), v.slowdown,
-				overheadPct(r, rBase), nb.Stats().Rounds)
+				r.OverheadPercent(rBase), b.Protocol.Stats().Rounds)
 		}
 		return rs, nil
 	})

@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -30,11 +30,12 @@ func E12Partner(o Options) ([]*report.Table, error) {
 		"workload", "image", "protocol", "overhead%", "writes", "net-MB-shipped")
 	err := sweep(t, o, "E12", workloads, func(i int, w string) (rows, error) {
 		sd := pointSeed(o, "E12", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: w, Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
@@ -43,35 +44,25 @@ func E12Partner(o Options) ([]*report.Table, error) {
 			writeDur := simtime.FromSeconds(float64(size) / fsBytesPerSec)
 
 			// Local write: exclusive seizure sized by PFS bandwidth.
-			up, err := checkpoint.NewUncoordinated(
-				checkpoint.Params{Interval: interval, Write: writeDur},
-				checkpoint.Staggered, checkpoint.LogParams{})
+			c := base
+			c.Protocol = run.ProtocolConfig{Kind: run.ProtoUncoordinated, Interval: interval,
+				Write: writeDur}
+			r, b, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
-			// Same spec and seed as base: reuse the immutable program.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(up))
-			if err != nil {
-				return nil, err
-			}
-			rs.add(w, size, "local-write", overheadPct(r, rBase), up.Stats().Writes, 0.0)
+			rs.add(w, size, "local-write", r.OverheadPercent(rBase), b.Protocol.Stats().Writes, 0.0)
 
-			// Partner: short serialize seizure + real network transfer.
-			pt, err := checkpoint.NewPartner(checkpoint.PartnerParams{
-				Interval:      interval,
-				SerializeTime: writeDur / 10, // memcpy is ~10x the PFS rate
-				CkptBytes:     size,
-				Offsets:       checkpoint.Staggered,
-			})
+			// Partner: short serialize seizure (memcpy is ~10x the PFS rate)
+			// + real network transfer.
+			c.Protocol = run.ProtocolConfig{Kind: run.ProtoPartner, Interval: interval,
+				Write: writeDur / 10, CkptBytes: size}
+			r, b, err = runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
-			r2, err := simulate(o, net, base, sd, 0, sim.Agent(pt))
-			if err != nil {
-				return nil, err
-			}
-			shipped, _ := pt.Shipped()
-			rs.add(w, size, "partner", overheadPct(r2, rBase), pt.Stats().Writes,
+			shipped, _ := b.Protocol.(*checkpoint.Partner).Shipped()
+			rs.add(w, size, "partner", r.OverheadPercent(rBase), b.Protocol.Stats().Writes,
 				float64(shipped)/(1<<20))
 		}
 		return rs, nil

@@ -1,9 +1,8 @@
 package exp
 
 import (
-	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -36,47 +35,37 @@ func E14Fabric(o Options) ([]*report.Table, error) {
 			label = report.Cell(bis / 1e9)
 		}
 
-		base, err := buildProg("transpose", ranks, iters, ms(1), 32*1024, sd)
+		base, err := run.Generate(run.RunConfig{Workload: "transpose", Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 32 * 1024, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-
-		// Local writes: no extra fabric traffic.
-		up, err := checkpoint.NewUncoordinated(
-			checkpoint.Params{Interval: interval, Write: writeDur},
-			checkpoint.Staggered, checkpoint.LogParams{})
-		if err != nil {
-			return nil, err
+		variants := []struct {
+			label string
+			proto run.ProtocolConfig
+		}{
+			// Local writes: no extra fabric traffic.
+			{"local-write", run.ProtocolConfig{Kind: run.ProtoUncoordinated,
+				Interval: interval, Write: writeDur}},
+			// Partner: images compete for the bisection.
+			{"partner", run.ProtocolConfig{Kind: run.ProtoPartner,
+				Interval: interval, Write: writeDur / 10, CkptBytes: image}},
 		}
-		// Same spec and seed as base: reuse the immutable program.
-		r, err := simulate(o, net, base, sd, 0, sim.Agent(up))
-		if err != nil {
-			return nil, err
+		for _, v := range variants {
+			c := base
+			c.Protocol = v.proto
+			r, _, err := runPoint(o, c)
+			if err != nil {
+				return nil, err
+			}
+			rs.add(label, simtime.Duration(rBase.Makespan).String(), v.label,
+				r.OverheadPercent(rBase), r.Metrics.FabricBusy.String())
 		}
-		rs.add(label, simtime.Duration(rBase.Makespan).String(), "local-write",
-			overheadPct(r, rBase), r.Metrics.FabricBusy.String())
-
-		// Partner: images compete for the bisection.
-		pt, err := checkpoint.NewPartner(checkpoint.PartnerParams{
-			Interval:      interval,
-			SerializeTime: writeDur / 10,
-			CkptBytes:     image,
-			Offsets:       checkpoint.Staggered,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r2, err := simulate(o, net, base, sd, 0, sim.Agent(pt))
-		if err != nil {
-			return nil, err
-		}
-		rs.add(label, simtime.Duration(rBase.Makespan).String(), "partner",
-			overheadPct(r2, rBase), r2.Metrics.FabricBusy.String())
 		return rs, nil
 	})
 	if err != nil {

@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/noise"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -29,27 +29,25 @@ func E15Resonance(o Options) ([]*report.Table, error) {
 		"workload", "period", "event-duration", "overhead%", "amplification")
 	err := sweep(t, o, "E15", workloads, func(i int, w string) (rows, error) {
 		sd := pointSeed(o, "E15", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: w, Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		for _, period := range periods {
 			dur := period.Scale(duty)
-			inj, err := noise.NewInjector(noise.Config{Period: period, Duration: dur})
+			c := base
+			c.Noise = &noise.Config{Period: period, Duration: dur}
+			r, _, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
-			// Same spec and seed as base: reuse the immutable program.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(inj))
-			if err != nil {
-				return nil, err
-			}
-			ov := overheadPct(r, rBase)
+			ov := r.OverheadPercent(rBase)
 			rs.add(w, period.String(), dur.String(), ov, ov/(duty*100))
 		}
 		return rs, nil

@@ -5,7 +5,7 @@ import (
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -33,11 +33,12 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 	t := report.NewTable("E16: single-level vs two-level checkpointing under failures",
 		"local-coverage", "protocol", "τ_L/τ_G", "failures", "makespan", "overhead%", "writes(L/G)")
 
-	base, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
+	base, err := run.Generate(run.RunConfig{Workload: "stencil2d", Ranks: ranks, Iterations: iters,
+		Compute: ms(1), MsgBytes: 4096, Net: net, Seed: o.Seed})
 	if err != nil {
 		return nil, errf("E16", err)
 	}
-	rBase, err := simulate(o, net, base, o.Seed, 0)
+	rBase, _, err := runPoint(o, base)
 	if err != nil {
 		return nil, errf("E16", err)
 	}
@@ -52,31 +53,21 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 	}
 
 	err = sweep(t, o, "E16", points, func(i int, p pt) (rows, error) {
-		sd := pointSeed(o, "E16", i)
+		cfg := run.RunConfig{Workload: "stencil2d", Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: pointSeed(o, "E16", i),
+			MaxTime: simtime.Time(300 * simtime.Second)}
 		var rs rows
 		if p.single {
 			// Single-level reference: coordinated at the Daly-optimal interval.
-			cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tauG, Write: globalWrite})
+			cfg.Protocol = run.ProtocolConfig{Kind: run.ProtoCoordinated, Interval: tauG, Write: globalWrite}
+			cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}
+			r, b, err := runPoint(o, cfg)
 			if err != nil {
 				return nil, err
 			}
-			injG, err := failure.NewInjector(failure.Config{
-				MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-			if err != nil {
-				return nil, err
-			}
-			prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
-			if err != nil {
-				return nil, err
-			}
-			rG, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-				sim.Agent(cp), sim.Agent(injG))
-			if err != nil {
-				return nil, err
-			}
-			rs.add("-", "single-level", "-/"+tauG.String(), len(injG.Events()),
-				simtime.Duration(rG.Makespan).String(), overheadPct(rG, rBase),
-				report.Cell(cp.Stats().Writes))
+			rs.add("-", "single-level", "-/"+tauG.String(), len(b.Failures.Events()),
+				simtime.Duration(r.Makespan).String(), r.OverheadPercent(rBase),
+				report.Cell(b.Protocol.Stats().Writes))
 			return rs, nil
 		}
 
@@ -85,32 +76,19 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 		tl0, tg0 := model.TwoLevelIntervals(localWrite.Seconds(), globalWrite.Seconds(), sys, p.cov)
 		tauL := simtime.FromSeconds(tl0)
 		tauGL := simtime.FromSeconds(tg0)
-		tl, err := checkpoint.NewTwoLevel(checkpoint.TwoLevelParams{
+		cfg.Protocol = run.ProtocolConfig{Kind: run.ProtoTwoLevel, TwoLevel: checkpoint.TwoLevelParams{
 			LocalInterval: tauL, LocalWrite: localWrite,
 			GlobalInterval: tauGL, GlobalWrite: globalWrite,
-		})
+		}}
+		cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart,
+			LocalRestart: restart / 10, LocalCoverage: p.cov, Kind: failure.RecoverTwoLevel}
+		r, b, err := runPoint(o, cfg)
 		if err != nil {
 			return nil, err
 		}
-		inj, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart,
-			LocalRestart: restart / 10, LocalCoverage: p.cov,
-			Kind: failure.RecoverTwoLevel}, tl)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
-		if err != nil {
-			return nil, err
-		}
-		r, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-			sim.Agent(tl), sim.Agent(inj))
-		if err != nil {
-			return nil, err
-		}
-		local, global := tl.LevelWrites()
-		rs.add(p.cov, "two-level", tauL.String()+"/"+tauGL.String(), len(inj.Events()),
-			simtime.Duration(r.Makespan).String(), overheadPct(r, rBase),
+		local, global := b.Protocol.(*checkpoint.TwoLevel).LevelWrites()
+		rs.add(p.cov, "two-level", tauL.String()+"/"+tauGL.String(), len(b.Failures.Events()),
+			simtime.Duration(r.Makespan).String(), r.OverheadPercent(rBase),
 			report.Cell(local)+"/"+report.Cell(global))
 		return rs, nil
 	})

@@ -5,10 +5,9 @@ import (
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
-	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
-	"checkpointsim/internal/storage"
 )
 
 // e17Cell is one measured grid cell of the contention map; e17Grid returns
@@ -33,10 +32,11 @@ func e17Label(agg float64) string {
 
 // e17Grid sweeps the (P × aggregate-bandwidth) grid. Every cell runs the
 // coordinated protocol and the staggered/random uncoordinated variants
-// through a fresh shared store (stores arbitrate within one engine, so each
-// simulation gets its own). The workload is EP: with no communication
-// coupling, the only thing separating the protocols is how their write
-// schedules collide inside the storage system.
+// through a shared store built from the cell's storage parameters (run.Build
+// gives each simulation its own: stores arbitrate within one engine). The
+// workload is EP: with no communication coupling, the only thing separating
+// the protocols is how their write schedules collide inside the storage
+// system.
 func e17Grid(o Options) ([][]e17Cell, error) {
 	if err := o.Storage.Validate(); err != nil {
 		return nil, errf("E17", err)
@@ -60,9 +60,8 @@ func e17Grid(o Options) ([][]e17Cell, error) {
 	if writerCap <= 0 {
 		writerCap = 1e9
 	}
-	const image = int64(2e5)
-	params := checkpoint.Params{Interval: 20 * simtime.Millisecond,
-		Write: 200 * simtime.Microsecond, Bytes: image, Tier: storage.TierGlobal}
+	protos := coordVsUncoord(run.ProtocolConfig{Interval: 20 * simtime.Millisecond,
+		Write: 200 * simtime.Microsecond, Bytes: 2e5}, checkpoint.LogParams{}, "staggered", "random")
 
 	type point struct {
 		p   int
@@ -76,61 +75,37 @@ func e17Grid(o Options) ([][]e17Cell, error) {
 	}
 
 	return runner.MapCtx(o.ctx(), o.Jobs, points, func(i int, pt point) ([]e17Cell, error) {
-		sd := pointSeed(o, "E17", i)
-		mkStore := func() (*storage.Store, error) {
-			sp := o.Storage
-			sp.AggregateBytesPerSec = pt.agg
-			sp.PerWriterBytesPerSec = writerCap
-			return storage.New(sp)
-		}
-		base, err := buildProg("ep", pt.p, iters, grain, 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: "ep", Ranks: pt.p, Iterations: iters,
+			Compute: grain, MsgBytes: 4096, Net: net, Seed: pointSeed(o, "E17", i)})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
-
-		builds := []struct {
-			name  string
-			build func(p checkpoint.Params) (checkpoint.Protocol, error)
-		}{
-			{"coordinated", func(p checkpoint.Params) (checkpoint.Protocol, error) {
-				return checkpoint.NewCoordinated(p)
-			}},
-			{"uncoord-staggered", func(p checkpoint.Params) (checkpoint.Protocol, error) {
-				return checkpoint.NewUncoordinated(p, checkpoint.Staggered, checkpoint.LogParams{})
-			}},
-			{"uncoord-random", func(p checkpoint.Params) (checkpoint.Protocol, error) {
-				return checkpoint.NewUncoordinated(p, checkpoint.Random, checkpoint.LogParams{})
-			}},
-		}
-		cells := make([]e17Cell, 0, len(builds))
-		for _, b := range builds {
-			st, err := mkStore()
+		c := base
+		c.Storage = o.Storage
+		c.Storage.AggregateBytesPerSec = pt.agg
+		c.Storage.PerWriterBytesPerSec = writerCap
+		cells := make([]e17Cell, 0, len(protos))
+		for _, proto := range protos {
+			c.Protocol = proto
+			r, b, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
-			p := params
-			p.Store = st
-			proto, err := b.build(p)
-			if err != nil {
-				return nil, err
-			}
-			// Identical spec and seed — the base program serves every
-			// protocol variant of this cell.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(proto))
-			if err != nil {
-				return nil, err
+			label := "coordinated"
+			if proto.Kind == run.ProtoUncoordinated {
+				label = "uncoord-" + proto.Offset
 			}
 			cells = append(cells, e17Cell{
 				P:        pt.p,
 				Agg:      pt.agg,
-				Protocol: b.name,
-				Overhead: overheadPct(r, rBase),
+				Protocol: label,
+				Overhead: r.OverheadPercent(rBase),
 				IOWait:   r.SeizedTime[checkpoint.ReasonIOWait],
-				Writes:   proto.Stats().Writes,
+				Writes:   b.Protocol.Stats().Writes,
 			})
 		}
 		return cells, nil

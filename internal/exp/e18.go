@@ -5,9 +5,9 @@ import (
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/failure"
-	"checkpointsim/internal/goal"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
@@ -48,19 +48,41 @@ func e18Tau(p int, mtbf simtime.Duration) simtime.Duration {
 	return tau
 }
 
-// e18Coordinated assembles coordinated checkpointing with global rollback,
-// the grid's discipline whose rollbacks queue fastest.
-func e18Coordinated(tau, mtbf simtime.Duration) (*checkpoint.Coordinated, *failure.Injector, error) {
-	cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: e18Write})
+// e18Runs are the simulations of one grid cell, in execution order.
+type e18Runs struct {
+	replBase, coord, uncoord, repl run.RunConfig
+}
+
+// e18Configs assembles the runs of grid cell pt under seed sd: the
+// failure-free replication layout, coordinated checkpointing with global
+// rollback, uncoordinated (staggered, logged) checkpointing with local
+// replay, and replication with replica takeover. The checkpointing runs
+// share one full-width program; the replication runs share a half-width
+// program doing 2× the iterations, which run.Build widens back to P ranks.
+func e18Configs(o Options, pt e18Point, sd uint64) (e18Runs, error) {
+	iters := pick(o, 60, 30)
+	spec := run.RunConfig{Workload: "stencil2d", Ranks: pt.ranks, Iterations: iters,
+		Compute: ms(1), MsgBytes: 4096, Net: o.net(), Seed: sd, MaxTime: e18Cap}
+	full, err := run.Generate(spec)
 	if err != nil {
-		return nil, nil, err
+		return e18Runs{}, err
 	}
-	inj, err := failure.NewInjector(failure.Config{
-		MTBF: mtbf, Restart: e18Restart, Kind: failure.RollbackGlobal}, cp)
+	spec.Ranks, spec.Iterations = pt.ranks/2, 2*iters
+	half, err := run.Generate(spec)
 	if err != nil {
-		return nil, nil, err
+		return e18Runs{}, err
 	}
-	return cp, inj, nil
+	half.Protocol = run.ProtocolConfig{Kind: run.ProtoReplication}
+	tau := e18Tau(pt.ranks, pt.mtbf)
+	runs := e18Runs{replBase: half, coord: full, uncoord: full, repl: half}
+	runs.coord.Protocol = run.ProtocolConfig{Kind: run.ProtoCoordinated, Interval: tau, Write: e18Write}
+	runs.coord.Failures = &failure.Config{MTBF: pt.mtbf, Restart: e18Restart, Kind: failure.RollbackGlobal}
+	runs.uncoord.Protocol = run.ProtocolConfig{Kind: run.ProtoUncoordinated, Interval: tau, Write: e18Write,
+		Logging: checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.1}}
+	runs.uncoord.Failures = &failure.Config{MTBF: pt.mtbf, Restart: e18Restart, ReplaySpeedup: 2,
+		Kind: failure.ReplayLocal}
+	runs.repl.Failures = &failure.Config{MTBF: pt.mtbf, Restart: e18Restart, Kind: failure.TakeoverReplica}
+	return runs, nil
 }
 
 // E18Replication maps the three-way protocol crossover on the
@@ -95,14 +117,11 @@ func E18Replication(o Options) ([]*report.Table, error) {
 // e18Grid runs the sweep and returns the cells in grid order
 // (scale-major, MTBF-minor).
 func e18Grid(o Options) ([]e18Cell, error) {
-	net := o.net()
 	scales := pick(o, []int{16, 32, 64}, []int{8, 16})
 	mtbfs := pick(o,
 		[]simtime.Duration{100 * simtime.Millisecond, 400 * simtime.Millisecond,
 			1600 * simtime.Millisecond, 6400 * simtime.Millisecond},
 		[]simtime.Duration{100 * simtime.Millisecond, simtime.Second})
-	iters := pick(o, 60, 30)
-	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.1}
 
 	var points []e18Point
 	for _, p := range scales {
@@ -112,93 +131,39 @@ func e18Grid(o Options) ([]e18Cell, error) {
 	}
 
 	cells, err := runner.MapCtx(o.ctx(), o.Jobs, points, func(i int, pt e18Point) (e18Cell, error) {
-		sd := pointSeed(o, "E18", i)
-		p := pt.ranks
-		tau := e18Tau(p, pt.mtbf)
-
-		// The checkpointing protocols run the full-width application; the
-		// replication run embeds a half-width application doing 2× the
-		// iterations in the same machine. Programs are immutable and shared
-		// across their runs.
-		prog, err := buildProg("stencil2d", p, iters, ms(1), 4096, sd)
+		runs, err := e18Configs(o, pt, pointSeed(o, "E18", i))
 		if err != nil {
 			return e18Cell{}, err
 		}
-		half, err := buildProg("stencil2d", p/2, 2*iters, ms(1), 4096, sd)
-		if err != nil {
-			return e18Cell{}, err
-		}
-		wide, err := goal.Widen(half, p)
-		if err != nil {
-			return e18Cell{}, err
-		}
-
-		cell := e18Cell{ranks: p, mtbf: pt.mtbf, tau: tau}
-		run := func(pr *goal.Program, agents ...sim.Agent) (simtime.Time, bool, error) {
-			r, err := simulate(o, net, pr, sd, e18Cap, agents...)
+		simulateCapped := func(c run.RunConfig) (simtime.Time, bool, *run.Built, error) {
+			r, b, err := runPoint(o, c)
 			if errors.Is(err, sim.ErrCapExceeded) {
-				return e18Cap, true, nil
+				return e18Cap, true, b, nil
 			}
 			if err != nil {
-				return 0, false, err
+				return 0, false, nil, err
 			}
-			return r.Makespan, false, nil
+			return r.Makespan, false, b, nil
 		}
 
+		cell := e18Cell{ranks: pt.ranks, mtbf: pt.mtbf, tau: e18Tau(pt.ranks, pt.mtbf)}
 		// Failure-free replication layout: the duplication and heartbeat
 		// overhead alone. Every replication run with failures must finish at
 		// or above this floor (oracle bound for the tests).
-		rpb, err := checkpoint.NewReplication(checkpoint.ReplicationParams{})
-		if err != nil {
+		if cell.replBase, _, _, err = simulateCapped(runs.replBase); err != nil {
 			return e18Cell{}, err
 		}
-		cell.replBase, _, err = run(wide, sim.Agent(rpb))
-		if err != nil {
+		var coord *run.Built
+		if cell.coord, cell.capC, coord, err = simulateCapped(runs.coord); err != nil {
 			return e18Cell{}, err
 		}
-
-		// Coordinated + global rollback.
-		cp, injG, err := e18Coordinated(tau, pt.mtbf)
-		if err != nil {
+		cell.failures = len(coord.Failures.Events())
+		if cell.uncoord, cell.capU, _, err = simulateCapped(runs.uncoord); err != nil {
 			return e18Cell{}, err
 		}
-		cell.coord, cell.capC, err = run(prog, sim.Agent(cp), sim.Agent(injG))
-		if err != nil {
+		if cell.repl, cell.capR, _, err = simulateCapped(runs.repl); err != nil {
 			return e18Cell{}, err
 		}
-		cell.failures = len(injG.Events())
-
-		// Uncoordinated + local replay.
-		up, err := checkpoint.NewUncoordinated(checkpoint.Params{Interval: tau, Write: e18Write},
-			checkpoint.Staggered, logp)
-		if err != nil {
-			return e18Cell{}, err
-		}
-		injL, err := failure.NewInjector(failure.Config{
-			MTBF: pt.mtbf, Restart: e18Restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}, up)
-		if err != nil {
-			return e18Cell{}, err
-		}
-		cell.uncoord, cell.capU, err = run(prog, sim.Agent(up), sim.Agent(injL))
-		if err != nil {
-			return e18Cell{}, err
-		}
-
-		// Replication: replica takeover instead of rollback.
-		rp, err := checkpoint.NewReplication(checkpoint.ReplicationParams{})
-		if err != nil {
-			return e18Cell{}, err
-		}
-		injR, err := failure.NewInjector(failure.Config{
-			MTBF: pt.mtbf, Restart: e18Restart, Kind: failure.TakeoverReplica}, rp)
-		if err != nil {
-			return e18Cell{}, err
-		}
-		cell.repl, cell.capR, err = run(wide, sim.Agent(rp), sim.Agent(injR))
-		if err != nil {
-			return e18Cell{}, err
-		}
-
 		cell.winner = e18Winner(cell)
 		return cell, nil
 	})

@@ -26,24 +26,16 @@ const e18StormBytesCeiling = 265_800_000
 func TestE18StormAllocatedBytes(t *testing.T) {
 	o := DefaultOptions()
 	o.Quick = true
-	const p = 64
-	mtbf := 100 * simtime.Millisecond
-	sd := pointSeed(o, "E18", 0)
-	prog, err := buildProg("stencil2d", p, 30, ms(1), 4096, sd)
+	runs, err := e18Configs(o, e18Point{ranks: 64, mtbf: 100 * simtime.Millisecond},
+		pointSeed(o, "E18", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tau := e18Tau(p, mtbf)
 	var runErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N && runErr == nil; i++ {
-			cp, inj, err := e18Coordinated(tau, mtbf)
-			if err != nil {
-				runErr = err
-				return
-			}
-			_, err = simulate(o, o.net(), prog, sd, e18Cap, cp, inj)
+			_, _, err := runPoint(o, runs.coord)
 			if !errors.Is(err, sim.ErrCapExceeded) {
 				runErr = errors.Join(errors.New("storm cell did not hit the cap"), err)
 			}

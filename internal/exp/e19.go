@@ -3,10 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
-	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
 
@@ -69,12 +68,12 @@ func e19Grid(o Options) ([]e19Cell, error) {
 	)
 
 	out, err := runner.MapCtx(o.ctx(), o.Jobs, workloads, func(i int, wl string) ([]e19Cell, error) {
-		sd := pointSeed(o, "E19", i)
-		prog, err := buildProg(wl, ranks, iters, grain, 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: wl, Ranks: ranks, Iterations: iters,
+			Compute: grain, MsgBytes: 4096, Net: net, Seed: pointSeed(o, "E19", i)})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, prog, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
@@ -86,18 +85,18 @@ func e19Grid(o Options) ([]e19Cell, error) {
 			msgsPerTau = float64(rBase.Metrics.AppMessages) / float64(ranks) / intervals
 		}
 
+		// CIC writes through a store built from o.Storage (none under the
+		// default zero parameters).
+		c := base
+		c.Storage = o.Storage
 		var cells []e19Cell
 		for _, lag := range lags {
-			cic, err := checkpoint.NewCIC(checkpoint.Params{Interval: tau, Write: write,
-				Store: storeFor(o)}, lag, checkpoint.Staggered)
+			c.Protocol = run.ProtocolConfig{Kind: run.ProtoCIC, CICLag: lag, Interval: tau, Write: write}
+			r, b, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
-			r, err := simulate(o, net, prog, sd, 0, sim.Agent(cic))
-			if err != nil {
-				return nil, err
-			}
-			st := cic.Stats()
+			st := b.Protocol.Stats()
 			cells = append(cells, e19Cell{
 				workload:   wl,
 				lag:        lag,

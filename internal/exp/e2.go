@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/noise"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -31,30 +31,24 @@ func E2Propagation(o Options) ([]*report.Table, error) {
 		"workload", "duty%", "slowdown", "overhead%", "amplification")
 	err := sweep(t, o, "E2", workloads, func(i int, w string) (rows, error) {
 		sd := pointSeed(o, "E2", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: w, Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		for _, duty := range duties {
-			// The program is a pure function of its spec and immutable once
-			// built: reuse base instead of rebuilding it per duty cycle.
-			inj, err := noise.NewInjector(noise.Config{
-				Period:   period,
-				Duration: period.Scale(duty),
-			})
+			c := base
+			c.Noise = &noise.Config{Period: period, Duration: period.Scale(duty)}
+			r, _, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(inj))
-			if err != nil {
-				return nil, err
-			}
-			ov := overheadPct(r, rBase)
+			ov := r.OverheadPercent(rBase)
 			rs.add(w, duty*100, r.Slowdown(rBase), ov, ov/(duty*100))
 		}
 		return rs, nil

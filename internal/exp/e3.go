@@ -1,10 +1,9 @@
 package exp
 
 import (
-	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -16,37 +15,29 @@ import (
 func E3Coordination(o Options) ([]*report.Table, error) {
 	net := o.net()
 	scales := pick(o, []int{16, 64, 256, 1024}, []int{16, 64})
-	params := checkpoint.Params{Interval: 5 * simtime.Millisecond, Write: 500 * simtime.Microsecond}
 
 	t := report.NewTable("E3: coordinated round cost vs scale (stencil2d, 0.5ms ops)",
 		"P", "rounds", "quiesce/round", "tree-model", "sync-idle", "span/round", "ctl-msgs")
 	err := sweep(t, o, "E3", scales, func(i, p int) (rows, error) {
 		sd := pointSeed(o, "E3", i)
-		prog, err := buildProg("stencil2d", p, pick(o, 80, 30), 500*simtime.Microsecond, 4096, sd)
-		if err != nil {
-			return nil, err
-		}
-		cp, err := checkpoint.NewCoordinated(params)
-		if err != nil {
-			return nil, err
-		}
-		r, err := simulate(o, net, prog, sd, 0, sim.Agent(cp))
+		r, b, err := runPoint(o, run.RunConfig{Workload: "stencil2d", Ranks: p,
+			Iterations: pick(o, 80, 30), Compute: 500 * simtime.Microsecond, MsgBytes: 4096,
+			Net: net, Seed: sd, Protocol: run.ProtocolConfig{Kind: run.ProtoCoordinated,
+				Interval: 5 * simtime.Millisecond, Write: 500 * simtime.Microsecond}})
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		st := cp.Stats()
+		st := b.Protocol.Stats()
 		if st.Rounds == 0 {
 			rs.add(p, 0, "-", "-", "-", "-", r.Metrics.CtlMessages)
 			return rs, nil
 		}
 		quiesce := st.CoordDelay / simtime.Duration(st.Rounds)
 		span := st.RoundSpan / simtime.Duration(st.Rounds)
-		// The REQ+ACK sweep covers 2·depth hops on an idle machine.
-		treeModel := simtime.FromSeconds(model.CoordinationDelay(p, net, params.CtlBytes))
-		if params.CtlBytes == 0 {
-			treeModel = simtime.FromSeconds(model.CoordinationDelay(p, net, 64))
-		}
+		// The REQ+ACK sweep of 64-byte control messages (the protocol
+		// default) covers 2·depth hops on an idle machine.
+		treeModel := simtime.FromSeconds(model.CoordinationDelay(p, net, 64))
 		idle := quiesce - treeModel
 		rs.add(p, st.Rounds, quiesce.String(), treeModel.String(), idle.String(),
 			span.String(), r.Metrics.CtlMessages)

@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -13,14 +13,12 @@ import (
 // allreduce-dominated code. One sweep point = one (workload, scale) cell:
 // its baseline and the four protocol runs share the point's RNG stream.
 func E4WeakScaling(o Options) ([]*report.Table, error) {
-	if err := o.Storage.Validate(); err != nil {
-		return nil, errf("E4", err)
-	}
 	net := o.net()
 	scales := pick(o, []int{16, 64, 256, 1024}, []int{16, 64})
 	workloads := pick(o, []string{"stencil2d", "cg"}, []string{"stencil2d"})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond}
-	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.1}
+	protos := coordVsUncoord(run.ProtocolConfig{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond},
+		checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.1},
+		"aligned", "staggered", "random")
 	iters := pick(o, 40, 15)
 
 	type cell struct {
@@ -38,39 +36,30 @@ func E4WeakScaling(o Options) ([]*report.Table, error) {
 		"workload", "P", "protocol", "makespan", "overhead%", "writes")
 	err := sweep(t, o, "E4", points, func(i int, c cell) (rows, error) {
 		sd := pointSeed(o, "E4", i)
-		base, err := buildProg(c.w, c.p, iters, ms(1), 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: c.w, Ranks: c.p, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		rs.add(c.w, c.p, "none", simtime.Duration(rBase.Makespan).String(), 0.0, 0)
 
-		// Each protocol simulates separately, so each gets its own store
-		// (nil under the default zero storage parameters).
-		withStore := func() checkpoint.Params {
-			p := params
-			p.Store = storeFor(o)
-			return p
-		}
-		protos := func() []checkpoint.Protocol {
-			cp, _ := checkpoint.NewCoordinated(withStore())
-			ua, _ := checkpoint.NewUncoordinated(withStore(), checkpoint.Aligned, logp)
-			us, _ := checkpoint.NewUncoordinated(withStore(), checkpoint.Staggered, logp)
-			ur, _ := checkpoint.NewUncoordinated(withStore(), checkpoint.Random, logp)
-			return []checkpoint.Protocol{cp, ua, us, ur}
-		}()
+		// Protocol runs write through a store built from o.Storage (none
+		// under the default zero parameters).
+		v := base
+		v.Storage = o.Storage
 		for _, proto := range protos {
-			// Identical spec and seed — reuse the base program per protocol.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(proto))
+			v.Protocol = proto
+			r, b, err := runPoint(o, v)
 			if err != nil {
 				return nil, err
 			}
-			rs.add(c.w, c.p, proto.Name(), simtime.Duration(r.Makespan).String(),
-				overheadPct(r, rBase), proto.Stats().Writes)
+			rs.add(c.w, c.p, b.Protocol.Name(), simtime.Duration(r.Makespan).String(),
+				r.OverheadPercent(rBase), b.Protocol.Stats().Writes)
 		}
 		return rs, nil
 	})

@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -26,17 +26,17 @@ func E5Logging(o Options) ([]*report.Table, error) {
 		[]wl{{"cg", 512}, {"stencil2d", 8192}})
 	alphas := []simtime.Duration{0, simtime.Microsecond}
 	betas := pick(o, []float64{0, 0.1, 0.3, 1.0}, []float64{0, 0.3})
-	idle := checkpoint.Params{Interval: simtime.Hour, Write: 0}
 
 	t := report.NewTable("E5: message-logging overhead (no checkpoint writes)",
 		"workload", "msg-bytes", "alpha", "beta(ns/B)", "overhead%", "logged-msgs", "logged-MB")
 	err := sweep(t, o, "E5", wls, func(i int, w wl) (rows, error) {
 		sd := pointSeed(o, "E5", i)
-		base, err := buildProg(w.name, ranks, iters, ms(1), w.bytes, sd)
+		base, err := run.Generate(run.RunConfig{Workload: w.name, Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: w.bytes, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
@@ -46,18 +46,15 @@ func E5Logging(o Options) ([]*report.Table, error) {
 				if a == 0 && b == 0 {
 					continue
 				}
-				up, err := checkpoint.NewUncoordinated(idle, checkpoint.Staggered,
-					checkpoint.LogParams{Alpha: a, BetaNsPerByte: b})
+				c := base
+				c.Protocol = run.ProtocolConfig{Kind: run.ProtoUncoordinated, Interval: simtime.Hour,
+					Logging: checkpoint.LogParams{Alpha: a, BetaNsPerByte: b}}
+				r, built, err := runPoint(o, c)
 				if err != nil {
 					return nil, err
 				}
-				// Same spec and seed as base: reuse the immutable program.
-				r, err := simulate(o, net, base, sd, 0, sim.Agent(up))
-				if err != nil {
-					return nil, err
-				}
-				st := up.Stats()
-				rs.add(w.name, w.bytes, a.String(), b, overheadPct(r, rBase),
+				st := built.Protocol.Stats()
+				rs.add(w.name, w.bytes, a.String(), b, r.OverheadPercent(rBase),
 					st.LoggedMessages, float64(st.LoggedBytes)/(1<<20))
 			}
 		}

@@ -3,11 +3,10 @@ package exp
 import (
 	"math"
 
-	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/stats"
 )
@@ -44,11 +43,12 @@ func E6Interval(o Options) ([]*report.Table, error) {
 	t.AddNote("τ_Daly = %.1fms, τ_Young = %.1fms", tauDaly*1000, tauYoung*1000)
 
 	// Failure-free useful time for the model's Ts, shared by every point.
-	base, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
+	base, err := run.Generate(run.RunConfig{Workload: "stencil2d", Ranks: ranks, Iterations: iters,
+		Compute: ms(1), MsgBytes: 4096, Net: net, Seed: o.Seed})
 	if err != nil {
 		return nil, errf("E6", err)
 	}
-	rBase, err := simulate(o, net, base, o.Seed, 0)
+	rBase, _, err := runPoint(o, base)
 	if err != nil {
 		return nil, errf("E6", err)
 	}
@@ -60,25 +60,21 @@ func E6Interval(o Options) ([]*report.Table, error) {
 		var roundSpanSum simtime.Duration
 		var roundCount int64
 		for _, seed := range seeds {
-			cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write})
-			if err != nil {
-				return nil, err
-			}
-			inj, err := failure.NewInjector(failure.Config{
-				MTBF: nodeMTBF, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-			if err != nil {
-				return nil, err
-			}
 			// The program depends only on o.Seed, not the replication seed:
 			// every replication of every factor reuses the base build.
-			r, err := simulate(o, net, base, seed, simtime.Time(120*simtime.Second),
-				sim.Agent(cp), sim.Agent(inj))
+			c := base
+			c.Seed = seed
+			c.MaxTime = simtime.Time(120 * simtime.Second)
+			c.Protocol = run.ProtocolConfig{Kind: run.ProtoCoordinated, Interval: tau, Write: write}
+			c.Failures = &failure.Config{MTBF: nodeMTBF, Restart: restart, Kind: failure.RollbackGlobal}
+			r, b, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
 			spans = append(spans, simtime.Duration(r.Makespan).Seconds())
-			roundSpanSum += cp.Stats().RoundSpan
-			roundCount += cp.Stats().Rounds
+			st := b.Protocol.Stats()
+			roundSpanSum += st.RoundSpan
+			roundCount += st.Rounds
 		}
 		mean := stats.Mean(spans)
 		ci := stats.CI95(spans)

@@ -5,7 +5,7 @@ import (
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -34,11 +34,12 @@ func E7Recovery(o Options) ([]*report.Table, error) {
 	t := report.NewTable("E7: runtime under failures vs per-node MTBF (stencil2d)",
 		"node-MTBF", "protocol", "τ", "failures", "makespan", "overhead%", "lost-work")
 
-	base, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
+	base, err := run.Generate(run.RunConfig{Workload: "stencil2d", Ranks: ranks, Iterations: iters,
+		Compute: ms(1), MsgBytes: 4096, Net: net, Seed: o.Seed})
 	if err != nil {
 		return nil, errf("E7", err)
 	}
-	rBase, err := simulate(o, net, base, o.Seed, 0)
+	rBase, _, err := runPoint(o, base)
 	if err != nil {
 		return nil, errf("E7", err)
 	}
@@ -50,72 +51,44 @@ func E7Recovery(o Options) ([]*report.Table, error) {
 		if tau <= 0 {
 			tau = write * 2
 		}
-		var rs rows
-
-		// Coordinated + global rollback.
-		cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write})
-		if err != nil {
-			return nil, err
-		}
-		injG, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-		if err != nil {
-			return nil, err
-		}
 		// One program serves all three protocol runs of this point: the spec
 		// and seed are identical and engines never mutate a program.
-		prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
+		spec, err := run.Generate(run.RunConfig{Workload: "stencil2d", Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: sd,
+			MaxTime: simtime.Time(300 * simtime.Second)})
 		if err != nil {
 			return nil, err
 		}
-		rG, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-			sim.Agent(cp), sim.Agent(injG))
-		if err != nil {
-			return nil, err
+		variants := []struct {
+			label string
+			proto run.ProtocolConfig
+			fail  failure.Config
+		}{
+			{"coordinated+rollback",
+				run.ProtocolConfig{Kind: run.ProtoCoordinated, Interval: tau, Write: write},
+				failure.Config{MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}},
+			{"uncoordinated+replay",
+				run.ProtocolConfig{Kind: run.ProtoUncoordinated, Interval: tau, Write: write, Logging: logp},
+				failure.Config{MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}},
+			// The middle ground: coordinate inside clusters, log across.
+			{"hierarchical+cluster",
+				run.ProtocolConfig{Kind: run.ProtoHierarchical, ClusterSize: ranks / 8,
+					Interval: tau, Write: write, Logging: logp},
+				failure.Config{MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.RollbackCluster}},
 		}
-		rs.add(mtbf.String(), "coordinated+rollback", tau.String(), len(injG.Events()),
-			simtime.Duration(rG.Makespan).String(), overheadPct(rG, rBase),
-			injG.TotalLost().String())
-
-		// Uncoordinated + local replay.
-		up, err := checkpoint.NewUncoordinated(checkpoint.Params{Interval: tau, Write: write},
-			checkpoint.Staggered, logp)
-		if err != nil {
-			return nil, err
+		var rs rows
+		for _, v := range variants {
+			c := spec
+			c.Protocol = v.proto
+			c.Failures = &v.fail
+			r, b, err := runPoint(o, c)
+			if err != nil {
+				return nil, err
+			}
+			rs.add(mtbf.String(), v.label, tau.String(), len(b.Failures.Events()),
+				simtime.Duration(r.Makespan).String(), r.OverheadPercent(rBase),
+				b.Failures.TotalLost().String())
 		}
-		injL, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}, up)
-		if err != nil {
-			return nil, err
-		}
-		rL, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-			sim.Agent(up), sim.Agent(injL))
-		if err != nil {
-			return nil, err
-		}
-		rs.add(mtbf.String(), "uncoordinated+replay", tau.String(), len(injL.Events()),
-			simtime.Duration(rL.Makespan).String(), overheadPct(rL, rBase),
-			injL.TotalLost().String())
-
-		// Hierarchical + cluster rollback: the middle ground.
-		hp, err := checkpoint.NewHierarchical(checkpoint.Params{Interval: tau, Write: write},
-			ranks/8, logp)
-		if err != nil {
-			return nil, err
-		}
-		injC, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.RollbackCluster}, hp)
-		if err != nil {
-			return nil, err
-		}
-		rC, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-			sim.Agent(hp), sim.Agent(injC))
-		if err != nil {
-			return nil, err
-		}
-		rs.add(mtbf.String(), "hierarchical+cluster", tau.String(), len(injC.Events()),
-			simtime.Duration(rC.Makespan).String(), overheadPct(rC, rBase),
-			injC.TotalLost().String())
 		return rs, nil
 	})
 	if err != nil {

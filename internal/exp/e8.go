@@ -7,6 +7,7 @@ import (
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
@@ -28,9 +29,6 @@ import (
 // diverged at that scale) rather than aborting the sweep. The analytic
 // projection is closed-form and stays serial.
 func E8Crossover(o Options) ([]*report.Table, error) {
-	if err := o.Storage.Validate(); err != nil {
-		return nil, errf("E8", err)
-	}
 	net := o.net()
 	scales := pick(o, []int{16, 64, 256}, []int{16, 64})
 	betas := pick(o, []float64{0, 0.2, 0.5, 1.0}, []float64{0, 0.5})
@@ -50,16 +48,22 @@ func E8Crossover(o Options) ([]*report.Table, error) {
 		tau := simtime.FromSeconds(model.DalyInterval(write.Seconds(), sys))
 
 		// One immutable program serves every protocol variant at this scale:
-		// the coordinated run and each β's uncoordinated run share it.
-		prog, err := buildProg("stencil2d", p, iters, ms(1), 4096, sd)
+		// the coordinated run and each β's uncoordinated run share it. The
+		// protocols write through a store built from o.Storage (none under
+		// the default zero parameters).
+		spec, err := run.Generate(run.RunConfig{Workload: "stencil2d", Ranks: p, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Storage: o.Storage, Seed: sd, MaxTime: capT})
 		if err != nil {
 			return nil, err
 		}
 
-		// run simulates one protocol variant at this scale under the
+		// simulateCapped runs one protocol variant at this scale under the
 		// point's seed, treating a cap abort as a diverged (capped) run.
-		run := func(agents ...sim.Agent) (makespan simtime.Time, capped bool, err error) {
-			r, err := simulate(o, net, prog, sd, capT, agents...)
+		simulateCapped := func(proto run.ProtocolConfig, fail failure.Config) (makespan simtime.Time, capped bool, err error) {
+			c := spec
+			c.Protocol = proto
+			c.Failures = &fail
+			r, _, err := runPoint(o, c)
 			if errors.Is(err, sim.ErrCapExceeded) {
 				return capT, true, nil
 			}
@@ -75,34 +79,19 @@ func E8Crossover(o Options) ([]*report.Table, error) {
 			return simtime.Duration(mk).String()
 		}
 
-		cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write,
-			Store: storeFor(o)})
-		if err != nil {
-			return nil, err
-		}
-		injG, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-		if err != nil {
-			return nil, err
-		}
-		mkC, capC, err := run(sim.Agent(cp), sim.Agent(injG))
+		mkC, capC, err := simulateCapped(
+			run.ProtocolConfig{Kind: run.ProtoCoordinated, Interval: tau, Write: write},
+			failure.Config{MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal})
 		if err != nil {
 			return nil, err
 		}
 
 		var rs rows
 		for _, beta := range betas {
-			up, err := checkpoint.NewUncoordinated(checkpoint.Params{Interval: tau, Write: write,
-				Store: storeFor(o)}, checkpoint.Staggered, checkpoint.LogParams{BetaNsPerByte: beta})
-			if err != nil {
-				return nil, err
-			}
-			injL, err := failure.NewInjector(failure.Config{
-				MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}, up)
-			if err != nil {
-				return nil, err
-			}
-			mkU, capU, err := run(sim.Agent(up), sim.Agent(injL))
+			mkU, capU, err := simulateCapped(
+				run.ProtocolConfig{Kind: run.ProtoUncoordinated, Interval: tau, Write: write,
+					Logging: checkpoint.LogParams{BetaNsPerByte: beta}},
+				failure.Config{MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal})
 			if err != nil {
 				return nil, err
 			}

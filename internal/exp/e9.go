@@ -1,9 +1,8 @@
 package exp
 
 import (
-	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -18,32 +17,30 @@ func E9Stagger(o Options) ([]*report.Table, error) {
 	iters := pick(o, 60, 20)
 	workloads := pick(o, []string{"ep", "stencil2d", "stencil3d", "cg"},
 		[]string{"ep", "stencil2d"})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
 
 	t := report.NewTable("E9: uncoordinated offset policy ablation (δ/τ = 20%, no logging)",
 		"workload", "policy", "overhead%", "writes")
 	err := sweep(t, o, "E9", workloads, func(i int, w string) (rows, error) {
 		sd := pointSeed(o, "E9", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+		base, err := run.Generate(run.RunConfig{Workload: w, Ranks: ranks, Iterations: iters,
+			Compute: ms(1), MsgBytes: 4096, Net: net, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, _, err := runPoint(o, base)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		for _, pol := range []checkpoint.OffsetPolicy{checkpoint.Aligned, checkpoint.Staggered, checkpoint.Random} {
-			up, err := checkpoint.NewUncoordinated(params, pol, checkpoint.LogParams{})
+		for _, pol := range []string{"aligned", "staggered", "random"} {
+			c := base
+			c.Protocol = run.ProtocolConfig{Kind: run.ProtoUncoordinated, Offset: pol,
+				Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
+			r, b, err := runPoint(o, c)
 			if err != nil {
 				return nil, err
 			}
-			// Same spec and seed as base: reuse the immutable program.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(up))
-			if err != nil {
-				return nil, err
-			}
-			rs.add(w, pol.String(), overheadPct(r, rBase), up.Stats().Writes)
+			rs.add(w, pol, r.OverheadPercent(rBase), b.Protocol.Stats().Writes)
 		}
 		return rs, nil
 	})

@@ -3,6 +3,12 @@
 // cmd/sweep prints and bench_test.go exercises. DESIGN.md carries the
 // experiment index; EXPERIMENTS.md records measured outputs.
 //
+// Every simulation an experiment performs is a run.RunConfig assembled by
+// run.Build — the same builder behind the facade, the campaign and the
+// trace suite — and executed by runPoint, so protocols, stores and
+// injectors are wired in one place. Points that share a workload generate
+// its immutable program once (run.Generate) and derive every variant from it.
+//
 // Every experiment enumerates its sweep as a slice of independent points
 // fanned across Options.Jobs workers by internal/runner. A point derives
 // its RNG stream from the sweep seed, the experiment ID, and its own index
@@ -18,7 +24,7 @@ import (
 	"sync/atomic"
 
 	"checkpointsim/internal/cache"
-	"checkpointsim/internal/goal"
+	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/rng"
@@ -28,7 +34,6 @@ import (
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/storage"
 	"checkpointsim/internal/validate"
-	"checkpointsim/internal/workload"
 )
 
 // Options configures an experiment run.
@@ -47,12 +52,13 @@ type Options struct {
 	// identity or completion order.
 	Jobs int
 	// Storage configures the shared-storage model the checkpoint protocols
-	// write through. The zero value keeps the legacy fixed-duration write
-	// path (no store); any non-zero parameter set routes protocol writes
-	// through a store built per simulation. An unconstrained parameter set
-	// (all bandwidths zero) is byte-identical to the legacy path. E17 sweeps
-	// AggregateBytesPerSec itself and treats this field as the template for
-	// the remaining knobs.
+	// of E4, E8, E19 and trace experiments write through; the other
+	// experiments ignore it. The zero value keeps the legacy fixed-duration
+	// write path (no store); any non-zero parameter set routes protocol
+	// writes through a store built per simulation, and an invalid one fails
+	// the experiment. An unconstrained parameter set (all bandwidths zero)
+	// is byte-identical to the legacy path. E17 sweeps AggregateBytesPerSec
+	// itself and treats this field as the template for the remaining knobs.
 	Storage storage.Params
 	// Validate attaches a trace-conformance checker (internal/validate) to
 	// every simulation the experiments run: causality, resource
@@ -161,22 +167,6 @@ func All() []Experiment {
 	}
 }
 
-// storeFor builds one simulation's store from the run's storage parameters,
-// or nil for the zero value (the legacy fixed-duration path). Stores
-// arbitrate within a single engine, so every simulate call needs a fresh
-// one; sweep points running on parallel workers must never share a store.
-// Callers validate o.Storage up front (an invalid set maps to nil here).
-func storeFor(o Options) *storage.Store {
-	if o.Storage == (storage.Params{}) {
-		return nil
-	}
-	st, err := storage.New(o.Storage)
-	if err != nil {
-		return nil
-	}
-	return st
-}
-
 // ByID finds an experiment by its ID (e.g. "E4").
 func ByID(id string) (Experiment, bool) {
 	for _, e := range All() {
@@ -187,34 +177,36 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// buildProg constructs a named workload.
-func buildProg(name string, ranks, iters int, compute simtime.Duration, bytes int64, seed uint64) (*goal.Program, error) {
-	return workload.FromName(name, workload.CommonConfig{
-		Base: workload.Base{
-			Ranks:      ranks,
-			Iterations: iters,
-			Compute:    compute,
-			Seed:       seed,
-		},
-		Bytes: bytes,
-	})
-}
-
-// simulate runs one hand-assembled configuration of an experiment sweep.
-func simulate(o Options, net network.Params, prog *goal.Program, seed uint64, maxTime simtime.Time, agents ...sim.Agent) (*sim.Result, error) {
-	return simulateBuilt(o, &run.Built{Sim: sim.Config{Net: net, Program: prog,
-		Agents: agents, Seed: seed, MaxTime: maxTime}})
-}
-
-// simulateBuilt runs one sweep point. A sweep performs many simulations per
-// experiment, so it rejects ResumeFrom and ignores OnSnapshot: with
-// SnapshotEvery set, every point verifies its own snapshots.
-func simulateBuilt(o Options, b *run.Built) (*sim.Result, error) {
+// runPoint builds one sweep point through run.Build and runs it, returning
+// the result with the assembled point so callers can read protocol, store
+// and failure statistics. A sweep performs many simulations per experiment,
+// so it rejects ResumeFrom and ignores OnSnapshot: with SnapshotEvery set,
+// every point verifies its own snapshots.
+func runPoint(o Options, cfg run.RunConfig) (*sim.Result, *run.Built, error) {
 	if o.ResumeFrom != nil {
-		return nil, fmt.Errorf("exp: ResumeFrom applies to single-simulation scenario runs, not experiment sweeps")
+		return nil, nil, fmt.Errorf("exp: ResumeFrom applies to single-simulation scenario runs, not experiment sweeps")
+	}
+	b, err := run.Build(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	o.OnSnapshot = nil
-	return execute(o, b)
+	res, err := execute(o, b)
+	return res, b, err
+}
+
+// coordVsUncoord returns coordinated checkpointing followed by uncoordinated
+// checkpointing under each offset policy, all sharing pc's interval, write
+// and image size; logp is the uncoordinated protocols' logging tax.
+func coordVsUncoord(pc run.ProtocolConfig, logp checkpoint.LogParams, offsets ...string) []run.ProtocolConfig {
+	pc.Kind = run.ProtoCoordinated
+	out := []run.ProtocolConfig{pc}
+	for _, off := range offsets {
+		u := pc
+		u.Kind, u.Offset, u.Logging = run.ProtoUncoordinated, off, logp
+		out = append(out, u)
+	}
+	return out
 }
 
 // execute is the one executor behind every experiment point and campaign
@@ -271,11 +263,6 @@ func execute(o Options, b *run.Built) (*sim.Result, error) {
 		}
 	}
 	return res, err
-}
-
-// overheadPct computes the relative makespan increase in percent.
-func overheadPct(r, base *sim.Result) float64 {
-	return r.OverheadPercent(base)
 }
 
 // pick returns quick when o.Quick, else full.

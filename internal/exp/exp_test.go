@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"checkpointsim/internal/storage"
 )
 
 func TestRegistry(t *testing.T) {
@@ -71,6 +73,21 @@ func TestAllExperimentsQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Every experiment that writes through Options.Storage must reject an
+// invalid parameter set rather than run unconstrained: the store is built
+// by run.Build, whose error reaches the caller.
+func TestInvalidStorageFails(t *testing.T) {
+	o := DefaultOptions()
+	o.Quick = true
+	o.Storage = storage.Params{AggregateBytesPerSec: -1}
+	for _, id := range []string{"E4", "E8", "E17", "E19"} {
+		e, _ := ByID(id)
+		if _, err := e.Run(o); err == nil {
+			t.Errorf("%s accepted negative aggregate bandwidth", id)
+		}
 	}
 }
 

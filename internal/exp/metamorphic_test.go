@@ -5,7 +5,7 @@ import (
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/goal"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -57,19 +57,14 @@ func TestMakespanRankRelabelInvariance(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(shift int, withProto bool) simtime.Time {
-				prog := rotatedRing(t, ranks, iters, shift, tc.bytes, 50*simtime.Microsecond)
-				var agents []sim.Agent
+				cfg := run.RunConfig{Seed: 1,
+					Program: rotatedRing(t, ranks, iters, shift, tc.bytes, 50*simtime.Microsecond)}
 				if withProto {
-					cp, err := checkpoint.NewUncoordinated(checkpoint.Params{
-						Interval: 300 * simtime.Microsecond,
-						Write:    100 * simtime.Microsecond,
-					}, checkpoint.Aligned, checkpoint.LogParams{Alpha: 500, BetaNsPerByte: 0.01})
-					if err != nil {
-						t.Fatal(err)
-					}
-					agents = append(agents, cp)
+					cfg.Protocol = run.ProtocolConfig{Kind: run.ProtoUncoordinated, Offset: "aligned",
+						Interval: 300 * simtime.Microsecond, Write: 100 * simtime.Microsecond,
+						Logging: checkpoint.LogParams{Alpha: 500, BetaNsPerByte: 0.01}}
 				}
-				r, err := simulate(o, o.net(), prog, 1, 0, agents...)
+				r, _, err := runPoint(o, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,11 +93,15 @@ func TestMakespanRankRelabelInvariance(t *testing.T) {
 func TestOverheadMonotonicInWriteDuration(t *testing.T) {
 	o := DefaultOptions()
 	o.Validate = true
-	prog, err := buildProg("stencil2d", 8, 30, ms(1), 4096, o.Seed)
+	// The program is generated from o.Seed; every run simulates it under
+	// seed 1.
+	cfg, err := run.Generate(run.RunConfig{Workload: "stencil2d", Ranks: 8, Iterations: 30,
+		Compute: ms(1), MsgBytes: 4096, Seed: o.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := simulate(o, o.net(), prog, 1, 0)
+	cfg.Seed = 1
+	base, _, err := runPoint(o, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +115,9 @@ func TestOverheadMonotonicInWriteDuration(t *testing.T) {
 	}
 	prev := base.Makespan
 	for _, w := range writes {
-		cp, err := checkpoint.NewCoordinated(checkpoint.Params{
-			Interval: 5 * simtime.Millisecond, Write: w,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := buildProg("stencil2d", 8, 30, ms(1), 4096, o.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := simulate(o, o.net(), prog, 1, 0, cp)
+		cfg.Protocol = run.ProtocolConfig{Kind: run.ProtoCoordinated,
+			Interval: 5 * simtime.Millisecond, Write: w}
+		r, _, err := runPoint(o, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

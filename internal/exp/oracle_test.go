@@ -3,12 +3,11 @@ package exp
 import (
 	"testing"
 
-	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/collective"
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/model"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/stats"
 )
@@ -30,7 +29,7 @@ func TestPointToPointMatchesLogGOPS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := simulate(o, net, prog, 1, 0)
+		r, _, err := runPoint(o, run.RunConfig{Program: prog, Net: net, Seed: 1})
 		if err != nil {
 			t.Fatalf("%d bytes: %v", s, err)
 		}
@@ -75,7 +74,7 @@ func TestCollectivesWithinDepthBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := simulate(o, net, prog, 1, 0)
+			r, _, err := runPoint(o, run.RunConfig{Program: prog, Net: net, Seed: 1})
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", m.name, p, err)
 			}
@@ -124,6 +123,15 @@ func TestSimulatedOptimumNearDaly(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	factors := []float64{0.5, 0.7, 1.0, 1.3, 1.6, 2.0, 2.5}
 
+	// Every run simulates one program, generated from o.Seed.
+	cfg, err := run.Generate(run.RunConfig{Workload: "stencil2d", Ranks: ranks, Iterations: iters,
+		Compute: ms(1), MsgBytes: 4096, Net: net, Seed: o.Seed,
+		MaxTime: simtime.Time(300 * simtime.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Failures = &failure.Config{MTBF: nodeMTBF, Restart: restart, Kind: failure.RollbackGlobal}
+
 	type point struct {
 		tau          simtime.Duration
 		mean, tauEff float64 // seconds
@@ -135,27 +143,16 @@ func TestSimulatedOptimumNearDaly(t *testing.T) {
 		var roundSpanSum simtime.Duration
 		var roundCount int64
 		for _, seed := range seeds {
-			cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inj, err := failure.NewInjector(failure.Config{
-				MTBF: nodeMTBF, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := simulate(o, net, prog, seed, simtime.Time(300*simtime.Second),
-				sim.Agent(cp), sim.Agent(inj))
+			cfg.Seed = seed
+			cfg.Protocol = run.ProtocolConfig{Kind: run.ProtoCoordinated, Interval: tau, Write: write}
+			r, b, err := runPoint(o, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			spans = append(spans, simtime.Duration(r.Makespan).Seconds())
-			roundSpanSum += cp.Stats().RoundSpan
-			roundCount += cp.Stats().Rounds
+			st := b.Protocol.Stats()
+			roundSpanSum += st.RoundSpan
+			roundCount += st.Rounds
 		}
 		if roundCount == 0 {
 			t.Fatalf("factor %.2f: no completed rounds", f)

@@ -13,8 +13,9 @@ import (
 // explicitly built but unconstrained store — the Unlimited path, as opposed
 // to the nil store the zero Options take — must reproduce the committed
 // seed-42 quick tables byte-for-byte. This pins the whole store-routed write
-// plumbing (Options.Storage → storeFor → Params.Store → storeWrite) to the
-// legacy fixed-duration results whenever no tier is bandwidth-limited.
+// plumbing (Options.Storage → RunConfig.Storage → run.Build → Params.Store →
+// storeWrite) to the legacy fixed-duration results whenever no tier is
+// bandwidth-limited.
 func TestUnlimitedStoreMatchesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs quick experiments")

@@ -104,7 +104,7 @@ func traceInterval(makespan simtime.Time) (tau, delta simtime.Duration) {
 
 func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, error) {
 	net := o.net()
-	base, err := simulate(o, net, prog, o.Seed, 0)
+	base, _, err := runPoint(o, run.RunConfig{Program: prog, Net: net, Seed: o.Seed})
 	if err != nil {
 		return nil, errf(id, err)
 	}
@@ -142,17 +142,13 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 				int64(0), int64(0), int64(0))
 			return rs, nil
 		}
-		b, err := run.Build(run.RunConfig{Program: prog, Net: net, Storage: o.Storage,
+		r, b, err := runPoint(o, run.RunConfig{Program: prog, Net: net, Storage: o.Storage,
 			Protocol: p.proto, Seed: pointSeed(o, id, i)})
-		if err != nil {
-			return nil, err
-		}
-		r, err := simulateBuilt(o, b)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
 		s := b.Protocol.Stats()
-		rs.add(p.name, simtime.Duration(r.Makespan).String(), overheadPct(r, base),
+		rs.add(p.name, simtime.Duration(r.Makespan).String(), r.OverheadPercent(base),
 			s.Rounds, s.Writes, s.LoggedMessages)
 		return rs, nil
 	})

@@ -5,12 +5,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"checkpointsim/internal/storage"
 )
 
 // Every quick experiment must run clean under the trace-conformance
 // checker (any invariant violation fails the run), and validation must be
 // a pure observer: the rendered tables stay byte-identical to the
-// unvalidated goldens.
+// unvalidated goldens. Runs with a constrained store are validated too.
 func TestValidatedQuickSweepMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs quick experiments under validation")
@@ -32,6 +34,21 @@ func TestValidatedQuickSweepMatchesGolden(t *testing.T) {
 				t.Errorf("%s validated output drifted from golden %s — validation perturbed results",
 					id, path)
 			}
+		})
+	}
+	// The experiments that write through Options.Storage must also reconcile
+	// clean against a bandwidth-limited store (2 GB/s aggregate, as
+	// `sweep -store-agg 2`). Their tables differ from the goldens, so only
+	// the checker's verdict is asserted.
+	for _, id := range []string{"E4", "E8", "E17", "E19"} {
+		id := id
+		t.Run(id+"-store-agg-2", func(t *testing.T) {
+			t.Parallel()
+			o := DefaultOptions()
+			o.Quick = true
+			o.Validate = true
+			o.Storage = storage.Params{AggregateBytesPerSec: 2e9}
+			renderOpts(t, id, o)
 		})
 	}
 }

@@ -1,9 +1,11 @@
 // Package run assembles and executes one study point: a generated workload
 // or an ingested program, a checkpoint protocol, the shared store, noise and
 // failures. It is the one builder behind the checkpointsim facade, the
-// campaign's scenarios and the trace suite: Build turns a RunConfig into an
-// engine configuration plus the protocol, store and failure injector it
-// wired, and Simulate runs that configuration. Run is the two together.
+// campaign's scenarios, the trace suite and every point of experiments
+// E1–E19: Build turns a RunConfig into an engine configuration plus the
+// protocol, store and failure injector it wired, and Simulate runs that
+// configuration. Run is the two together. Generate exposes the program
+// generation step so sweeps can share one immutable program across points.
 package run
 
 import (
@@ -329,32 +331,43 @@ type Built struct {
 	Failures *failure.Injector
 }
 
+// Generate returns cfg with its application program in cfg.Program, before
+// any replication widening: unchanged when cfg.Program is already set, else
+// the named workload generated from the shape fields and Seed. Programs are
+// immutable, so callers that sweep many points over one workload generate
+// it once and derive every point's config from the result.
+func Generate(cfg RunConfig) (RunConfig, error) {
+	if cfg.Program != nil {
+		return cfg, nil
+	}
+	var err error
+	cfg.Program, err = workload.FromName(cfg.Workload, workload.CommonConfig{
+		Base: workload.Base{
+			Ranks:      cfg.Ranks,
+			Iterations: cfg.Iterations,
+			Compute:    cfg.Compute,
+			Jitter:     cfg.Jitter,
+			Seed:       cfg.Seed,
+		},
+		Bytes: cfg.MsgBytes,
+	})
+	return cfg, err
+}
+
 // Build assembles a study point: generate (or take) the program, widen it
 // for replication, build the store, the protocol and the injectors, and
 // fill in the engine configuration including the trace and snapshot
 // observers. ResumeFrom is left to the caller's Simulate.
 func Build(cfg RunConfig) (*Built, error) {
+	cfg, err := Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
 	b := &Built{Sim: sim.Config{Net: cfg.Net, Program: cfg.Program, Seed: cfg.Seed,
 		MaxTime: cfg.MaxTime, Trace: cfg.Trace, SnapshotEvery: cfg.SnapshotEvery,
 		OnSnapshot: cfg.OnSnapshot}}
 	if (b.Sim.Net == network.Params{}) {
 		b.Sim.Net = network.DefaultParams()
-	}
-	var err error
-	if b.Sim.Program == nil {
-		b.Sim.Program, err = workload.FromName(cfg.Workload, workload.CommonConfig{
-			Base: workload.Base{
-				Ranks:      cfg.Ranks,
-				Iterations: cfg.Iterations,
-				Compute:    cfg.Compute,
-				Jitter:     cfg.Jitter,
-				Seed:       cfg.Seed,
-			},
-			Bytes: cfg.MsgBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	if cfg.Protocol.Kind == ProtoReplication {
 		// The configured ranks are the application; widen the machine so
