@@ -25,12 +25,21 @@ import (
 
 	"checkpointsim"
 	"checkpointsim/internal/exp"
-	"checkpointsim/internal/failure"
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/simtime"
+	"checkpointsim/internal/snapshot"
 	"checkpointsim/internal/timeline"
 	"checkpointsim/internal/validate"
 )
+
+// recoveries names the failure recovery disciplines for -recovery.
+var recoveries = map[string]checkpointsim.RecoveryKind{
+	"global":   checkpointsim.RecoverGlobal,
+	"local":    checkpointsim.RecoverLocal,
+	"cluster":  checkpointsim.RecoverCluster,
+	"twolevel": checkpointsim.RecoverTwoLevel,
+	"takeover": checkpointsim.RecoverTakeover,
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -41,55 +50,66 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("checksim", flag.ContinueOnError)
+	// Every flag binds straight into the field it sets; noise and failures
+	// bind into configs attached below when their period or MTBF is set.
 	var (
-		workloadName = fs.String("workload", "stencil2d", "workload name (-list to enumerate)")
-		traceFile    = fs.String("trace", "", "run this GOAL trace file instead of a generated workload (see cmd/tracegen)")
-		list         = fs.Bool("list", false, "list workloads and exit")
-		ranks        = fs.Int("ranks", 64, "number of ranks")
-		iters        = fs.Int("iters", 50, "iterations")
-		compute      = fs.String("compute", "1ms", "mean per-iteration compute")
-		jitter       = fs.Float64("jitter", 0, "relative compute jitter (stddev fraction)")
-		bytes        = fs.Int64("bytes", 4096, "dominant message size")
-		protocol     = fs.String("protocol", "none", "none|coordinated|uncoordinated|hierarchical|nonblocking|partner|twolevel|replication|cic")
-		interval     = fs.String("interval", "10ms", "checkpoint interval")
-		write        = fs.String("write", "1ms", "checkpoint write time")
-		offset       = fs.String("offset", "staggered", "uncoordinated offsets: aligned|staggered|random")
-		cluster      = fs.Int("cluster", 8, "hierarchical cluster size")
-		window       = fs.String("window", "4ms", "nonblocking: background write window")
-		slowdown     = fs.Float64("slowdown", 1.25, "nonblocking: interference factor during the window")
-		ckptBytes    = fs.Int64("ckpt-bytes", 1<<20, "partner: checkpoint image size")
-		localIv      = fs.String("local-interval", "2ms", "twolevel: local checkpoint interval")
-		localWr      = fs.String("local-write", "100us", "twolevel: local write time")
-		degree       = fs.Int("replica-degree", 1, "replication: replicas per application rank (machine grows to ranks*(degree+1))")
-		hbPeriod     = fs.String("hb-period", "1ms", "replication: heartbeat period (bounds failure-detection latency)")
-		takeover     = fs.String("takeover", "500us", "replication: replica promotion cost after detection")
-		cicLag       = fs.Int("cic-lag", 1, "cic: index-lag threshold forcing a checkpoint (1 = Z-path-free)")
-		incrEvery    = fs.Int("incr-every", 0, "uncoordinated: every k-th write is full, others incremental (0 = off)")
-		incrFrac     = fs.Float64("incr-fraction", 0.25, "uncoordinated: incremental write fraction of full")
-		logAlpha     = fs.String("log-alpha", "0", "per-message logging CPU cost")
-		logBeta      = fs.Float64("log-beta", 0, "per-byte logging cost (ns/B)")
-		noisePeriod  = fs.String("noise-period", "", "noise period (empty = no noise)")
-		noiseDur     = fs.String("noise-duration", "25us", "noise event duration")
-		mtbf         = fs.String("mtbf", "", "per-node MTBF (empty = no failures)")
-		restart      = fs.String("restart", "1ms", "failure restart cost")
-		recovery     = fs.String("recovery", "global", "failure recovery: global|local|takeover")
-		seed         = fs.Uint64("seed", 42, "random seed")
-		maxTime      = fs.String("max-time", "0", "abort after this much virtual time (0 = unlimited)")
-		netPreset    = fs.String("net", "default", "network preset: default|capability|ethernet")
-		bisection    = fs.Float64("bisection", 0, "bisection bandwidth in GB/s (0 = unconstrained)")
-		storeAgg     = fs.Float64("store-agg", 0, "aggregate PFS bandwidth in GB/s (0 = unconstrained)")
-		storeWriter  = fs.Float64("store-writer", 0, "per-writer PFS bandwidth cap in GB/s (0 = uncapped)")
-		storeNode    = fs.Float64("store-node", 0, "node-local burst-buffer bandwidth in GB/s (0 = unconstrained)")
-		ranksPerNode = fs.Int("ranks-per-node", 0, "ranks per node for the node storage tier (0 = 1)")
-		imageBytes   = fs.Int64("image-bytes", 0, "checkpoint image size drained through the store (0 = derive from -write)")
-		validateRun  = fs.Bool("validate", false, "run the simulation under the trace-conformance checker (internal/validate); invariant violations are fatal")
-		snapEvery    = fs.Int64("snapshot-every", 0, "snapshot the complete simulator state every N events at a safe boundary (0 = off; requires -snapshot-dir)")
-		snapDir      = fs.String("snapshot-dir", "", "directory receiving snapshot blobs (snap-<events>.ckpt, written atomically)")
-		resumeFile   = fs.String("resume", "", "resume from this snapshot blob instead of starting from t=0 (config must match the snapshotting run)")
-		timelineCSV  = fs.String("timeline", "", "write a per-job CPU timeline CSV to this file")
-		gantt        = fs.Bool("gantt", false, "print an ASCII Gantt chart and utilization summary")
-		ganttWidth   = fs.Int("gantt-width", 100, "Gantt chart width in columns")
+		cfg checkpointsim.RunConfig
+		nz  checkpointsim.NoiseConfig
+		fl  checkpointsim.FailureConfig
 	)
+	pc := &cfg.Protocol
+	// dur binds a duration flag; its signature keeps every default a
+	// simtime.Duration, the type flag.TextVar requires at run time.
+	dur := func(p *simtime.Duration, name string, value simtime.Duration, usage string) {
+		fs.TextVar(p, name, value, usage)
+	}
+	fs.StringVar(&cfg.Workload, "workload", "stencil2d", "workload name (-list to enumerate)")
+	traceFile := fs.String("trace", "", "run this GOAL trace file instead of a generated workload (see cmd/tracegen)")
+	list := fs.Bool("list", false, "list workloads and exit")
+	fs.IntVar(&cfg.Ranks, "ranks", 64, "number of ranks")
+	fs.IntVar(&cfg.Iterations, "iters", 50, "iterations")
+	dur(&cfg.Compute, "compute", simtime.Millisecond, "mean per-iteration compute")
+	fs.Float64Var(&cfg.Jitter, "jitter", 0, "relative compute jitter (stddev fraction)")
+	fs.Int64Var(&cfg.MsgBytes, "bytes", 4096, "dominant message size")
+	fs.StringVar((*string)(&pc.Kind), "protocol", "none", "none|coordinated|uncoordinated|hierarchical|nonblocking|partner|twolevel|replication|cic")
+	dur(&pc.Interval, "interval", 10*simtime.Millisecond, "checkpoint interval")
+	dur(&pc.Write, "write", simtime.Millisecond, "checkpoint write time")
+	fs.StringVar(&pc.Offset, "offset", "staggered", "uncoordinated offsets: aligned|staggered|random")
+	fs.IntVar(&pc.ClusterSize, "cluster", 8, "hierarchical cluster size")
+	dur(&pc.Window, "window", 4*simtime.Millisecond, "nonblocking: background write window")
+	fs.Float64Var(&pc.Slowdown, "slowdown", 1.25, "nonblocking: interference factor during the window")
+	fs.Int64Var(&pc.CkptBytes, "ckpt-bytes", 1<<20, "partner: checkpoint image size")
+	dur(&pc.TwoLevel.LocalInterval, "local-interval", 2*simtime.Millisecond, "twolevel: local checkpoint interval")
+	dur(&pc.TwoLevel.LocalWrite, "local-write", 100*simtime.Microsecond, "twolevel: local write time")
+	fs.IntVar(&pc.ReplicaDegree, "replica-degree", 1, "replication: replicas per application rank (machine grows to ranks*(degree+1))")
+	dur(&pc.HeartbeatPeriod, "hb-period", simtime.Millisecond, "replication: heartbeat period (bounds failure-detection latency)")
+	dur(&pc.TakeoverCost, "takeover", 500*simtime.Microsecond, "replication: replica promotion cost after detection")
+	fs.IntVar(&pc.CICLag, "cic-lag", 1, "cic: index-lag threshold forcing a checkpoint (1 = Z-path-free)")
+	fs.IntVar(&pc.Incremental.FullEvery, "incr-every", 0, "uncoordinated: every k-th write is full, others incremental (0 = off)")
+	fs.Float64Var(&pc.Incremental.Fraction, "incr-fraction", 0.25, "uncoordinated: incremental write fraction of full")
+	dur(&pc.Logging.Alpha, "log-alpha", 0, "per-message logging CPU cost")
+	fs.Float64Var(&pc.Logging.BetaNsPerByte, "log-beta", 0, "per-byte logging cost (ns/B)")
+	dur(&nz.Period, "noise-period", 0, "noise period (0 = no noise)")
+	dur(&nz.Duration, "noise-duration", 25*simtime.Microsecond, "noise event duration")
+	dur(&fl.MTBF, "mtbf", 0, "per-node MTBF (0 = no failures)")
+	dur(&fl.Restart, "restart", simtime.Millisecond, "failure restart cost")
+	recovery := fs.String("recovery", "global", "failure recovery: global|local|cluster|twolevel|takeover")
+	fs.Uint64Var(&cfg.Seed, "seed", 42, "random seed")
+	dur((*simtime.Duration)(&cfg.MaxTime), "max-time", 0, "abort after this much virtual time (0 = unlimited)")
+	netPreset := fs.String("net", "default", "network preset: default|capability|ethernet")
+	bisection := fs.Float64("bisection", 0, "bisection bandwidth in GB/s (0 = unconstrained)")
+	fs.Float64Var(&cfg.Storage.AggregateBytesPerSec, "store-agg", 0, "aggregate PFS bandwidth in GB/s (0 = unconstrained)")
+	fs.Float64Var(&cfg.Storage.PerWriterBytesPerSec, "store-writer", 0, "per-writer PFS bandwidth cap in GB/s (0 = uncapped)")
+	fs.Float64Var(&cfg.Storage.NodeBytesPerSec, "store-node", 0, "node-local burst-buffer bandwidth in GB/s (0 = unconstrained)")
+	fs.IntVar(&cfg.Storage.RanksPerNode, "ranks-per-node", 0, "ranks per node for the node storage tier (0 = 1)")
+	fs.Int64Var(&pc.Bytes, "image-bytes", 0, "checkpoint image size drained through the store (0 = derive from -write)")
+	validateRun := fs.Bool("validate", false, "run the simulation under the trace-conformance checker (internal/validate); invariant violations are fatal")
+	fs.Int64Var(&cfg.SnapshotEvery, "snapshot-every", 0, "snapshot the complete simulator state every N events at a safe boundary (0 = off; requires -snapshot-dir)")
+	snapDir := fs.String("snapshot-dir", "", "directory receiving snapshot blobs (snap-<events>.ckpt, written atomically)")
+	resumeFile := fs.String("resume", "", "resume from this snapshot blob instead of starting from t=0 (config must match the snapshotting run)")
+	timelineCSV := fs.String("timeline", "", "write a per-job CPU timeline CSV to this file")
+	gantt := fs.Bool("gantt", false, "print an ASCII Gantt chart and utilization summary")
+	ganttWidth := fs.Int("gantt-width", 100, "Gantt chart width in columns")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,110 +119,22 @@ func run(args []string, out io.Writer) error {
 		}
 		return nil
 	}
+	// The two-level protocol's global level is the -interval/-write pair.
+	pc.TwoLevel.GlobalInterval, pc.TwoLevel.GlobalWrite = pc.Interval, pc.Write
 
-	parse := func(s string) (simtime.Duration, error) { return simtime.ParseDuration(s) }
-	comp, err := parse(*compute)
-	if err != nil {
+	var err error
+	if cfg.Net, err = network.Preset(*netPreset); err != nil {
 		return err
-	}
-	iv, err := parse(*interval)
-	if err != nil {
-		return err
-	}
-	wr, err := parse(*write)
-	if err != nil {
-		return err
-	}
-	la, err := parse(*logAlpha)
-	if err != nil {
-		return err
-	}
-	mt, err := parse(*maxTime)
-	if err != nil {
-		return err
-	}
-	win, err := parse(*window)
-	if err != nil {
-		return err
-	}
-	liv, err := parse(*localIv)
-	if err != nil {
-		return err
-	}
-	lwr, err := parse(*localWr)
-	if err != nil {
-		return err
-	}
-	hb, err := parse(*hbPeriod)
-	if err != nil {
-		return err
-	}
-	tk, err := parse(*takeover)
-	if err != nil {
-		return err
-	}
-
-	var netParams checkpointsim.NetworkParams
-	switch *netPreset {
-	case "default":
-		netParams = network.DefaultParams()
-	case "capability":
-		netParams = network.CapabilityClassParams()
-	case "ethernet":
-		netParams = network.EthernetClassParams()
-	default:
-		return fmt.Errorf("unknown network preset %q", *netPreset)
 	}
 	if *bisection < 0 {
 		return fmt.Errorf("negative bisection bandwidth")
 	}
-	netParams.BisectionBytesPerSec = *bisection * 1e9
-	if *storeAgg < 0 || *storeWriter < 0 || *storeNode < 0 {
-		return fmt.Errorf("negative storage bandwidth")
-	}
-
-	cfg := checkpointsim.RunConfig{
-		Workload: *workloadName,
-		Net:      netParams,
-		Storage: checkpointsim.StorageParams{
-			AggregateBytesPerSec: *storeAgg * 1e9,
-			PerWriterBytesPerSec: *storeWriter * 1e9,
-			NodeBytesPerSec:      *storeNode * 1e9,
-			RanksPerNode:         *ranksPerNode,
-		},
-		Ranks:      *ranks,
-		Iterations: *iters,
-		Compute:    comp,
-		Jitter:     *jitter,
-		MsgBytes:   *bytes,
-		Protocol: checkpointsim.ProtocolConfig{
-			Kind:        checkpointsim.ProtoKind(*protocol),
-			Interval:    iv,
-			Write:       wr,
-			Offset:      *offset,
-			Logging:     checkpointsim.LogParams{Alpha: la, BetaNsPerByte: *logBeta},
-			ClusterSize: *cluster,
-			Window:      win,
-			Slowdown:    *slowdown,
-			CkptBytes:   *ckptBytes,
-			Bytes:       *imageBytes,
-			TwoLevel: checkpointsim.TwoLevelParams{
-				LocalInterval:  liv,
-				LocalWrite:     lwr,
-				GlobalInterval: iv,
-				GlobalWrite:    wr,
-			},
-			Incremental: checkpointsim.IncrementalParams{
-				FullEvery: *incrEvery,
-				Fraction:  *incrFrac,
-			},
-			ReplicaDegree:   *degree,
-			HeartbeatPeriod: hb,
-			TakeoverCost:    tk,
-			CICLag:          *cicLag,
-		},
-		Seed:    *seed,
-		MaxTime: simtime.Time(mt),
+	cfg.Net.BisectionBytesPerSec = *bisection * 1e9
+	for _, bw := range []*float64{&cfg.Storage.AggregateBytesPerSec, &cfg.Storage.PerWriterBytesPerSec, &cfg.Storage.NodeBytesPerSec} {
+		if *bw < 0 {
+			return fmt.Errorf("negative storage bandwidth")
+		}
+		*bw *= 1e9 // the flags are in GB/s
 	}
 	var traceName, traceDigest string
 	if *traceFile != "" {
@@ -232,22 +164,21 @@ func run(args []string, out io.Writer) error {
 		if *resumeFile != "" {
 			return fmt.Errorf("-resume cannot be combined with -validate: the conformance checker needs the trace from t=0, which a resumed run does not replay")
 		}
-		chk = validate.New(netParams)
+		chk = validate.New(cfg.Net)
 		cfg.Trace = chk.Hook(cfg.Trace)
 	}
 	var snapped int
 	var snapErr error
-	if *snapEvery > 0 {
+	if cfg.SnapshotEvery > 0 {
 		if *snapDir == "" {
 			return fmt.Errorf("-snapshot-every requires -snapshot-dir")
 		}
 		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
 			return err
 		}
-		cfg.SnapshotEvery = *snapEvery
 		cfg.OnSnapshot = func(s checkpointsim.Snapshot) {
 			name := filepath.Join(*snapDir, fmt.Sprintf("snap-%012d.ckpt", s.Events))
-			if werr := writeFileAtomic(name, s.Blob); werr != nil && snapErr == nil {
+			if werr := snapshot.WriteFile(name, s.Blob); werr != nil && snapErr == nil {
 				snapErr = fmt.Errorf("writing snapshot %s: %w", name, werr)
 			}
 			snapped++
@@ -260,37 +191,16 @@ func run(args []string, out io.Writer) error {
 		}
 		cfg.ResumeFrom = blob
 	}
-	if *noisePeriod != "" {
-		np, err := parse(*noisePeriod)
-		if err != nil {
-			return err
-		}
-		nd, err := parse(*noiseDur)
-		if err != nil {
-			return err
-		}
-		cfg.Noise = &checkpointsim.NoiseConfig{Period: np, Duration: nd}
+	if nz.Period != 0 {
+		cfg.Noise = &nz
 	}
-	if *mtbf != "" {
-		m, err := parse(*mtbf)
-		if err != nil {
-			return err
-		}
-		rs, err := parse(*restart)
-		if err != nil {
-			return err
-		}
-		kind := failure.RollbackGlobal
-		switch *recovery {
-		case "global":
-		case "local":
-			kind = failure.ReplayLocal
-		case "takeover":
-			kind = failure.TakeoverReplica
-		default:
+	if fl.MTBF != 0 {
+		kind, ok := recoveries[*recovery]
+		if !ok {
 			return fmt.Errorf("unknown recovery %q", *recovery)
 		}
-		cfg.Failures = &checkpointsim.FailureConfig{MTBF: m, Restart: rs, Kind: kind}
+		fl.Kind = kind
+		cfg.Failures = &fl
 	}
 
 	res, err := checkpointsim.Run(cfg)
@@ -309,7 +219,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "workload:  trace %s@%s on %d ranks, %d ops\n",
 			traceName, traceDigest, cfg.Program.NumRanks, len(cfg.Program.Ops))
 	} else {
-		fmt.Fprintf(out, "workload:  %s on %d ranks, %d iterations\n", *workloadName, *ranks, *iters)
+		fmt.Fprintf(out, "workload:  %s on %d ranks, %d iterations\n", cfg.Workload, cfg.Ranks, cfg.Iterations)
 	}
 	fmt.Fprintf(out, "protocol:  %s\n", res.Protocol.Name())
 	fmt.Fprint(out, res.Result)
@@ -390,30 +300,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "timeline:  %d records -> %s\n", len(timelineRows), *timelineCSV)
-	}
-	return nil
-}
-
-// writeFileAtomic writes data to name via a temp file and rename, so a
-// crash mid-write never leaves a truncated snapshot where a resumable one
-// is expected.
-func writeFileAtomic(name string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(name), filepath.Base(name)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), name); err != nil {
-		os.Remove(tmp.Name())
-		return err
 	}
 	return nil
 }

@@ -177,3 +177,48 @@ func TestExtendedProtocolFlags(t *testing.T) {
 		}
 	}
 }
+
+// Every recovery discipline of the facade is reachable from -recovery:
+// cluster rollback for hierarchical protocols and the two-level dispatch
+// pass validation, and each differs from global rollback on the same run.
+func TestRecoveryDisciplines(t *testing.T) {
+	for _, tc := range []struct {
+		recovery string
+		args     []string
+	}{
+		{"cluster", []string{"-protocol", "hierarchical", "-cluster", "4", "-mtbf", "200ms"}},
+		{"twolevel", []string{"-protocol", "twolevel", "-mtbf", "100ms"}},
+	} {
+		t.Run(tc.recovery, func(t *testing.T) {
+			with := func(recovery string) string {
+				return capture(t, append([]string{"-ranks", "16", "-iters", "20", "-validate",
+					"-recovery", recovery}, tc.args...)...)
+			}
+			out := with(tc.recovery)
+			for _, want := range []string{"validate:  ok", "failures:"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing %q:\n%s", want, out)
+				}
+			}
+			if with("global") == out {
+				t.Errorf("-recovery %s ran as global rollback:\n%s", tc.recovery, out)
+			}
+		})
+	}
+}
+
+// A zero -mtbf or -noise-period means "off", like the other zero-valued
+// knobs; an empty value is a parse error.
+func TestZeroDurationMeansOff(t *testing.T) {
+	base := []string{"-workload", "ep", "-ranks", "4", "-iters", "5"}
+	plain := capture(t, base...)
+	for _, flag := range []string{"-mtbf", "-noise-period"} {
+		if got := capture(t, append(base, flag, "0")...); got != plain {
+			t.Errorf("%s 0 changed the run:\n%s\nwant:\n%s", flag, got, plain)
+		}
+		var sb strings.Builder
+		if err := run(append(base, flag, ""), &sb); err == nil {
+			t.Errorf("%s \"\" accepted", flag)
+		}
+	}
+}

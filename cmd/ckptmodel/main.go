@@ -32,28 +32,17 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ckptmodel", flag.ContinueOnError)
+	var delta, r, theta simtime.Duration
+	fs.TextVar(&delta, "write", 60*simtime.Second, "checkpoint write cost δ")
+	fs.TextVar(&r, "restart", 120*simtime.Second, "restart cost R")
+	fs.TextVar(&theta, "mtbf", 5*simtime.Year, "per-node MTBF θ")
 	var (
-		write      = fs.String("write", "60s", "checkpoint write cost δ")
-		restart    = fs.String("restart", "120s", "restart cost R")
-		mtbf       = fs.String("mtbf", "5y", "per-node MTBF θ")
 		nodes      = fs.Int("nodes", 1024, "node count P")
 		sweepNodes = fs.String("sweep-nodes", "", `sweep "lo:hi" doubling P instead of a single point`)
 		logOv      = fs.Float64("log-overhead", 0.10, "uncoordinated logging slowdown fraction")
 		replay     = fs.Float64("replay", 2, "log-replay speedup")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	delta, err := simtime.ParseDuration(*write)
-	if err != nil {
-		return err
-	}
-	r, err := simtime.ParseDuration(*restart)
-	if err != nil {
-		return err
-	}
-	theta, err := simtime.ParseDuration(*mtbf)
-	if err != nil {
 		return err
 	}
 	net := network.DefaultParams()

@@ -82,15 +82,9 @@ func run(args []string, out io.Writer) error {
 		NodeBytesPerSec:      *storeNode * 1e9,
 		RanksPerNode:         *ranksPerNode,
 	}
-	switch *netPre {
-	case "default":
-		o.Net = network.DefaultParams()
-	case "capability":
-		o.Net = network.CapabilityClassParams()
-	case "ethernet":
-		o.Net = network.EthernetClassParams()
-	default:
-		return fmt.Errorf("unknown network preset %q", *netPre)
+	var err error
+	if o.Net, err = network.Preset(*netPre); err != nil {
+		return err
 	}
 
 	var selected []exp.Experiment

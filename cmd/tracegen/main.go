@@ -60,17 +60,18 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	compute := 500 * simtime.Microsecond
+	fs.TextVar(&compute, "compute", compute, "mean per-iteration compute")
 	var (
-		name    = fs.String("workload", "stencil2d", "workload skeleton (-list to enumerate)")
-		list    = fs.Bool("list", false, "list workloads and exit")
-		ranks   = fs.Int("ranks", 16, "number of ranks")
-		iters   = fs.Int("iters", 10, "iterations")
-		compute = fs.String("compute", "500us", "mean per-iteration compute")
-		jitter  = fs.Float64("jitter", 0, "relative compute jitter (stddev fraction)")
-		bytes   = fs.Int64("bytes", 4096, "dominant message size")
-		seed    = fs.Uint64("seed", 42, "seed for jittered/randomized skeletons")
-		output  = fs.String("o", "", "output file (default stdout)")
-		corpus  = fs.String("corpus", "", "write the standard trace corpus into this directory and exit")
+		name   = fs.String("workload", "stencil2d", "workload skeleton (-list to enumerate)")
+		list   = fs.Bool("list", false, "list workloads and exit")
+		ranks  = fs.Int("ranks", 16, "number of ranks")
+		iters  = fs.Int("iters", 10, "iterations")
+		jitter = fs.Float64("jitter", 0, "relative compute jitter (stddev fraction)")
+		bytes  = fs.Int64("bytes", 4096, "dominant message size")
+		seed   = fs.Uint64("seed", 42, "seed for jittered/randomized skeletons")
+		output = fs.String("o", "", "output file (default stdout)")
+		corpus = fs.String("corpus", "", "write the standard trace corpus into this directory and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,11 +85,7 @@ func run(args []string, out io.Writer) error {
 	if *corpus != "" {
 		return writeCorpus(*corpus, out)
 	}
-	comp, err := simtime.ParseDuration(*compute)
-	if err != nil {
-		return err
-	}
-	text, err := generate(*name, *ranks, *iters, comp, *jitter, *bytes, *seed)
+	text, err := generate(*name, *ranks, *iters, compute, *jitter, *bytes, *seed)
 	if err != nil {
 		return err
 	}

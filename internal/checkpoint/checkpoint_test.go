@@ -71,11 +71,6 @@ func TestParamsValidate(t *testing.T) {
 
 func TestCoordinatorTreeShape(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 16, 33} {
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i
-		}
-		c := &coordinator{members: members}
 		seen := make([]int, n)
 		depth := 0
 		var walk func(i, d int)
@@ -84,9 +79,9 @@ func TestCoordinatorTreeShape(t *testing.T) {
 			if d > depth {
 				depth = d
 			}
-			for _, j := range c.children(i) {
-				if c.parent(j) != i {
-					t.Errorf("n=%d: parent(%d)=%d, want %d", n, j, c.parent(j), i)
+			for _, j := range children(i, n) {
+				if parent(j) != i {
+					t.Errorf("n=%d: parent(%d)=%d, want %d", n, j, parent(j), i)
 				}
 				walk(j, d+1)
 			}

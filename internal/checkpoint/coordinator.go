@@ -61,9 +61,9 @@ func newCoordinator(ctx *sim.Context, p Params, members []int, stats *Stats,
 	}
 }
 
-// children returns the virtual indices of i's binomial-tree children.
-func (c *coordinator) children(i int) []int {
-	n := len(c.members)
+// children returns the virtual indices of i's children in the binomial
+// tree over virtual indices 0..n-1 rooted at 0.
+func children(i, n int) []int {
 	var out []int
 	limit := i & -i // lsb; the root may add any power of two
 	if i == 0 {
@@ -76,7 +76,7 @@ func (c *coordinator) children(i int) []int {
 }
 
 // parent returns the virtual index of i's binomial-tree parent.
-func (c *coordinator) parent(i int) int { return i - (i & -i) }
+func parent(i int) int { return i - (i & -i) }
 
 // schedule arms the periodic rounds; call once from the protocol's Init.
 func (c *coordinator) schedule(first simtime.Time) {
@@ -120,7 +120,7 @@ func (c *coordinator) tick() {
 func (c *coordinator) handleReq(i int) {
 	rank := c.members[i]
 	c.release[i] = c.ctx.HoldApp(rank, ReasonCoord)
-	kids := c.children(i)
+	kids := children(i, len(c.members))
 	c.acksLeft[i] = len(kids)
 	for _, j := range kids {
 		j := j
@@ -140,7 +140,7 @@ func (c *coordinator) ackReady(i int) {
 		c.handleCommit(0)
 		return
 	}
-	p := c.parent(i)
+	p := parent(i)
 	c.ctx.SendControl(c.members[i], c.members[p], c.p.ctlBytes(),
 		func(simtime.Time) {
 			c.acksLeft[p]--
@@ -152,7 +152,7 @@ func (c *coordinator) ackReady(i int) {
 
 func (c *coordinator) handleCommit(i int) {
 	rank := c.members[i]
-	kids := c.children(i)
+	kids := children(i, len(c.members))
 	c.donesLeft[i] = len(kids) + 1 // children subtrees + own write
 	for _, j := range kids {
 		j := j
@@ -192,7 +192,7 @@ func (c *coordinator) doneReady(i int) {
 		c.armAt(next)
 		return
 	}
-	p := c.parent(i)
+	p := parent(i)
 	c.ctx.SendControl(c.members[i], c.members[p], c.p.ctlBytes(),
 		func(simtime.Time) { c.doneReady(p) })
 }

@@ -58,7 +58,6 @@ type NonBlockingCoordinated struct {
 
 	active    bool
 	tickTime  simtime.Time
-	tree      coordinator // used only for its children/parent shape
 	donesLeft []int
 	// pendingBusy/committedBusy mirror coordinator's line bookkeeping.
 	pendingBusy   []simtime.Duration
@@ -84,7 +83,6 @@ func (n *NonBlockingCoordinated) Init(ctx *sim.Context) {
 func (n *NonBlockingCoordinated) setup(ctx *sim.Context) {
 	n.ctx = ctx
 	p := ctx.NumRanks()
-	n.tree = coordinator{members: make([]int, p)}
 	n.donesLeft = make([]int, p)
 	n.pendingBusy = make([]simtime.Duration, p)
 	n.committedBusy = make([]simtime.Duration, p)
@@ -92,11 +90,6 @@ func (n *NonBlockingCoordinated) setup(ctx *sim.Context) {
 
 // OnTimer implements sim.TimerOwner: the only timer is the round tick.
 func (n *NonBlockingCoordinated) OnTimer(uint8, int64) { n.tick() }
-
-// children/parent reuse the binomial shape over virtual ranks 0..P-1.
-func (n *NonBlockingCoordinated) children(i int) []int { return n.tree.children(i) }
-
-func (n *NonBlockingCoordinated) parent(i int) int { return i - (i & -i) }
 
 func (n *NonBlockingCoordinated) tick() {
 	if n.active {
@@ -110,7 +103,7 @@ func (n *NonBlockingCoordinated) tick() {
 // trigger forwards the start marker down the tree and begins the local
 // background write.
 func (n *NonBlockingCoordinated) trigger(i int) {
-	kids := n.children(i)
+	kids := children(i, n.ctx.NumRanks())
 	n.donesLeft[i] = len(kids) + 1
 	for _, j := range kids {
 		j := j
@@ -168,7 +161,7 @@ func (n *NonBlockingCoordinated) done(i int) {
 		n.ctx.AtOwned(simtime.Max(n.tickTime.Add(n.p.Interval), end), n, 0, 0)
 		return
 	}
-	p := n.parent(i)
+	p := parent(i)
 	n.ctx.SendControl(i, p, n.p.ctlBytes(),
 		func(simtime.Time) { n.done(p) })
 }

@@ -77,7 +77,6 @@ func TestSnapshotCoversNonBlockingFields(t *testing.T) {
 		"ctx":           "rebound in DecodeState (setup)",
 		"active":        "must be false at a safe boundary (Quiesced); EncodeState panics otherwise",
 		"tickTime":      "per-round state, live only while active",
-		"tree":          "rebuilt by setup (shape is a pure function of rank count)",
 		"donesLeft":     "per-round state, reallocated by setup",
 		"pendingBusy":   "per-round state, reallocated by setup",
 		"committedBusy": "serialized",

@@ -331,26 +331,16 @@ func pointSeed(o Options, id string, i int) uint64 {
 // Snapshots, OnSnapshot, and ResumeFrom are mechanism, not configuration,
 // and stay out.
 func (o Options) CacheFields(id string) []cache.Field {
-	net := o.net()
-	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return []cache.Field{
+	fields := make([]cache.Field, 0, 16)
+	fields = append(fields,
 		cache.F("exp", id),
 		cache.F("seed", strconv.FormatUint(o.Seed, 10)),
 		cache.F("quick", strconv.FormatBool(o.Quick)),
 		cache.F("validate", strconv.FormatBool(o.Validate)),
 		cache.F("snapshot_every", strconv.FormatInt(o.SnapshotEvery, 10)),
-		cache.F("net.latency", strconv.FormatInt(int64(net.Latency), 10)),
-		cache.F("net.overhead", strconv.FormatInt(int64(net.Overhead), 10)),
-		cache.F("net.gap", strconv.FormatInt(int64(net.Gap), 10)),
-		cache.F("net.gap_per_byte", f64(net.GapPerByte)),
-		cache.F("net.overhead_per_byte", f64(net.OverheadPerByte)),
-		cache.F("net.rendezvous", strconv.FormatInt(net.RendezvousThreshold, 10)),
-		cache.F("net.bisection_bps", f64(net.BisectionBytesPerSec)),
-		cache.F("storage.aggregate_bps", f64(o.Storage.AggregateBytesPerSec)),
-		cache.F("storage.per_writer_bps", f64(o.Storage.PerWriterBytesPerSec)),
-		cache.F("storage.node_bps", f64(o.Storage.NodeBytesPerSec)),
-		cache.F("storage.ranks_per_node", strconv.Itoa(o.Storage.RanksPerNode)),
-	}
+	)
+	fields = run.AppendNetFields(fields, o.Net)
+	return run.AppendStorageFields(fields, o.Storage)
 }
 
 // ms is a shorthand constructor.

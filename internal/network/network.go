@@ -141,6 +141,21 @@ func (p Params) String() string {
 		p.RendezvousThreshold)
 }
 
+// Preset resolves a preset name as the command lines and the service
+// spell it: "default" (or "") is DefaultParams, "capability" is
+// CapabilityClassParams and "ethernet" is EthernetClassParams.
+func Preset(name string) (Params, error) {
+	switch name {
+	case "", "default":
+		return DefaultParams(), nil
+	case "capability":
+		return CapabilityClassParams(), nil
+	case "ethernet":
+		return EthernetClassParams(), nil
+	}
+	return Params{}, fmt.Errorf("unknown network preset %q", name)
+}
+
 // DefaultParams returns the parameter set used throughout the experiments:
 // an InfiniBand-class commodity cluster of the paper's era (≈2014).
 // L = 5 µs, o = 2 µs, g = 3 µs, G = 0.3 ns/B (≈3.3 GB/s), O = 0.02 ns/B,

@@ -121,6 +121,25 @@ func TestPresetsAreOrdered(t *testing.T) {
 }
 
 // Property: all cost functions are monotone non-decreasing in message size.
+func TestPreset(t *testing.T) {
+	for name, want := range map[string]Params{
+		"":           DefaultParams(),
+		"default":    DefaultParams(),
+		"capability": CapabilityClassParams(),
+		"ethernet":   EthernetClassParams(),
+	} {
+		got, err := Preset(name)
+		if err != nil || got != want {
+			t.Errorf("Preset(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"bogus", "Default", " ethernet"} {
+		if _, err := Preset(name); err == nil {
+			t.Errorf("Preset(%q) accepted", name)
+		}
+	}
+}
+
 func TestQuickMonotoneInSize(t *testing.T) {
 	p := DefaultParams()
 	f := func(a, b uint32) bool {

@@ -237,14 +237,8 @@ type RunResult struct {
 // from RunConfig.Storage are covered via the storage fields). Callers
 // caching by these fields must configure storage declaratively.
 func (cfg RunConfig) CacheFields() []cache.Field {
-	net := cfg.Net
-	if (net == network.Params{}) {
-		net = network.DefaultParams()
-	}
-	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	dur := func(d simtime.Duration) string { return strconv.FormatInt(int64(d), 10) }
-	i64 := func(v int64) string { return strconv.FormatInt(v, 10) }
-	fields := []cache.Field{
+	fields := make([]cache.Field, 0, 64)
+	fields = append(fields,
 		cache.F("workload", cfg.Workload),
 		cache.F("ranks", strconv.Itoa(cfg.Ranks)),
 		cache.F("iterations", strconv.Itoa(cfg.Iterations)),
@@ -253,17 +247,10 @@ func (cfg RunConfig) CacheFields() []cache.Field {
 		cache.F("msg_bytes", i64(cfg.MsgBytes)),
 		cache.F("seed", strconv.FormatUint(cfg.Seed, 10)),
 		cache.F("max_time", i64(int64(cfg.MaxTime))),
-		cache.F("net.latency", dur(net.Latency)),
-		cache.F("net.overhead", dur(net.Overhead)),
-		cache.F("net.gap", dur(net.Gap)),
-		cache.F("net.gap_per_byte", f64(net.GapPerByte)),
-		cache.F("net.overhead_per_byte", f64(net.OverheadPerByte)),
-		cache.F("net.rendezvous", i64(net.RendezvousThreshold)),
-		cache.F("net.bisection_bps", f64(net.BisectionBytesPerSec)),
-		cache.F("storage.aggregate_bps", f64(cfg.Storage.AggregateBytesPerSec)),
-		cache.F("storage.per_writer_bps", f64(cfg.Storage.PerWriterBytesPerSec)),
-		cache.F("storage.node_bps", f64(cfg.Storage.NodeBytesPerSec)),
-		cache.F("storage.ranks_per_node", strconv.Itoa(cfg.Storage.RanksPerNode)),
+	)
+	fields = AppendNetFields(fields, cfg.Net)
+	fields = AppendStorageFields(fields, cfg.Storage)
+	fields = append(fields,
 		cache.F("proto.kind", string(cfg.Protocol.Kind)),
 		cache.F("proto.interval", dur(cfg.Protocol.Interval)),
 		cache.F("proto.write", dur(cfg.Protocol.Write)),
@@ -289,7 +276,7 @@ func (cfg RunConfig) CacheFields() []cache.Field {
 		cache.F("proto.rep.hb_bytes", i64(cfg.Protocol.HeartbeatBytes)),
 		cache.F("proto.rep.takeover", dur(cfg.Protocol.TakeoverCost)),
 		cache.F("proto.cic.lag", strconv.Itoa(cfg.Protocol.CICLag)),
-	}
+	)
 	if cfg.Program != nil {
 		// An ingested trace replaces the workload shape in the address: the
 		// digest of the canonical serialization identifies the program, so
@@ -317,6 +304,40 @@ func (cfg RunConfig) CacheFields() []cache.Field {
 	}
 	return fields
 }
+
+// AppendNetFields appends the cache-key rendering of a network parameter
+// set to fields, resolving the zero value to network.DefaultParams() as a
+// run does, so both spellings address the same results.
+func AppendNetFields(fields []cache.Field, net network.Params) []cache.Field {
+	if (net == network.Params{}) {
+		net = network.DefaultParams()
+	}
+	return append(fields,
+		cache.F("net.latency", dur(net.Latency)),
+		cache.F("net.overhead", dur(net.Overhead)),
+		cache.F("net.gap", dur(net.Gap)),
+		cache.F("net.gap_per_byte", f64(net.GapPerByte)),
+		cache.F("net.overhead_per_byte", f64(net.OverheadPerByte)),
+		cache.F("net.rendezvous", i64(net.RendezvousThreshold)),
+		cache.F("net.bisection_bps", f64(net.BisectionBytesPerSec)),
+	)
+}
+
+// AppendStorageFields appends the cache-key rendering of a storage model to
+// fields. The zero value (fixed-duration writes) keeps its own address.
+func AppendStorageFields(fields []cache.Field, st storage.Params) []cache.Field {
+	return append(fields,
+		cache.F("storage.aggregate_bps", f64(st.AggregateBytesPerSec)),
+		cache.F("storage.per_writer_bps", f64(st.PerWriterBytesPerSec)),
+		cache.F("storage.node_bps", f64(st.NodeBytesPerSec)),
+		cache.F("storage.ranks_per_node", strconv.Itoa(st.RanksPerNode)),
+	)
+}
+
+// Cache-key value renderings: shortest exact floats, integer nanoseconds.
+func f64(v float64) string          { return strconv.FormatFloat(v, 'g', -1, 64) }
+func dur(d simtime.Duration) string { return strconv.FormatInt(int64(d), 10) }
+func i64(v int64) string            { return strconv.FormatInt(v, 10) }
 
 // Built is one assembled study point, ready to simulate: the engine
 // configuration plus the protocol, store and failure injector wired into

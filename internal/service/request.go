@@ -132,16 +132,11 @@ func (req SweepRequest) resolve() (exp.Experiment, exp.Options, error) {
 	}
 	o.Quick = req.Quick
 	o.Validate = req.Validate
-	switch req.Net {
-	case "", "default":
-		o.Net = network.DefaultParams()
-	case "capability":
-		o.Net = network.CapabilityClassParams()
-	case "ethernet":
-		o.Net = network.EthernetClassParams()
-	default:
-		return exp.Experiment{}, exp.Options{}, badf("unknown network preset %q", req.Net)
+	net, err := network.Preset(req.Net)
+	if err != nil {
+		return exp.Experiment{}, exp.Options{}, badf("%v", err)
 	}
+	o.Net = net
 	if st := req.Storage; st != nil {
 		o.Storage = storage.Params{
 			AggregateBytesPerSec: st.AggregateGBps * 1e9,

@@ -147,6 +147,20 @@ func (d Duration) String() string {
 	return fmt.Sprintf("%dns", int64(d))
 }
 
+// MarshalText renders d in its String form, so a Duration can be bound
+// directly as a command-line flag with flag.TextVar.
+func (d Duration) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+// UnmarshalText parses text with ParseDuration; on error d is unchanged.
+func (d *Duration) UnmarshalText(text []byte) error {
+	v, err := ParseDuration(string(text))
+	if err != nil {
+		return err
+	}
+	*d = v
+	return nil
+}
+
 // ParseDuration parses strings like "100ns", "2.5us", "3ms", "1.5s", "2m",
 // "4h", "7d", "5y". A bare number is interpreted as nanoseconds. Unit names
 // accept "us" or "µs" for microseconds.

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"flag"
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -176,6 +178,42 @@ func TestParseStringRoundTrip(t *testing.T) {
 		}
 		if got != d {
 			t.Errorf("round trip %v: got %d want %d", d.String(), got, d)
+		}
+	}
+}
+
+// A Duration binds as a flag through its text methods: the default is kept
+// until set, values parse with ParseDuration, and a bad value is an error
+// that leaves the bound variable alone.
+func TestDurationFlag(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var a, b Duration
+	fs.TextVar(&a, "a", 3*Millisecond, "")
+	fs.TextVar(&b, "b", Duration(0), "")
+	if a != 3*Millisecond || b != 0 {
+		t.Fatalf("defaults not applied: a=%v b=%v", a, b)
+	}
+	if err := fs.Parse([]string{"-b", "2.5us"}); err != nil {
+		t.Fatal(err)
+	}
+	if a != 3*Millisecond || b != 2500 {
+		t.Errorf("after parse: a=%v b=%v", a, b)
+	}
+	if got := fs.Lookup("a").DefValue; got != "3ms" {
+		t.Errorf("DefValue = %q, want 3ms", got)
+	}
+	if err := fs.Parse([]string{"-a", "10xx"}); err == nil {
+		t.Error("bad duration accepted")
+	}
+	if a != 3*Millisecond {
+		t.Errorf("failed parse changed the value to %v", a)
+	}
+	for _, d := range []Duration{0, 1500, 42 * Millisecond, Forever, -Second} {
+		text, _ := d.MarshalText()
+		var back Duration
+		if err := back.UnmarshalText(text); err != nil || back != d {
+			t.Errorf("text round trip of %v: %q -> %v, %v", d, text, back, err)
 		}
 	}
 }
