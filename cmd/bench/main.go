@@ -10,6 +10,7 @@
 //	go run ./cmd/bench                          # all experiments, quick mode
 //	go run ./cmd/bench -exp E8,E17 -o new.json  # subset, custom output
 //	go run ./cmd/bench -compare BENCH.json -tolerance 25%
+//	go run ./cmd/bench -exp E8 -o - -cpuprofile cpu.pprof  # then go tool pprof
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"testing"
 
 	"checkpointsim/internal/exp"
+	"checkpointsim/internal/prof"
 )
 
 func main() {
@@ -35,7 +37,9 @@ func main() {
 		tolerance = flag.String("tolerance", "10%", "allowed slowdown before -compare fails (e.g. 10% or 0.1)")
 		reps      = flag.Int("reps", 3, "benchmark repetitions per experiment; the fastest is kept")
 		history   = flag.String("history", "", "also write the snapshot to this path (e.g. results/BENCH_pr9.json)")
+		profiles  prof.Profiles
 	)
+	profiles.Register(flag.CommandLine)
 	flag.Parse()
 
 	tol, err := ParseTolerance(*tolerance)
@@ -48,6 +52,10 @@ func main() {
 		fatal(err)
 	}
 
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
 	cur := File{Schema: Schema, Go: runtime.Version(), Mode: modeName(*quick)}
 	for _, id := range ids {
 		e, _ := exp.ByID(id)
@@ -56,6 +64,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%.1fms/op  %d allocs/op  %.1fMB/op  %.2gM events/s\n",
 			entry.NsPerOp/1e6, entry.AllocsPerOp, mb(entry.BytesPerOp), entry.EventsPerSec/1e6)
 		cur.Entries = append(cur.Entries, entry)
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 
 	if err := writeFile(*out, cur); err != nil {

@@ -26,6 +26,7 @@ import (
 	"checkpointsim"
 	"checkpointsim/internal/exp"
 	"checkpointsim/internal/network"
+	"checkpointsim/internal/prof"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
 	"checkpointsim/internal/timeline"
@@ -48,7 +49,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("checksim", flag.ContinueOnError)
 	// Every flag binds straight into the field it sets; noise and failures
 	// bind into configs attached below when their period or MTBF is set.
@@ -110,6 +111,8 @@ func run(args []string, out io.Writer) error {
 	timelineCSV := fs.String("timeline", "", "write a per-job CPU timeline CSV to this file")
 	gantt := fs.Bool("gantt", false, "print an ASCII Gantt chart and utilization summary")
 	ganttWidth := fs.Int("gantt-width", 100, "Gantt chart width in columns")
+	var profiles prof.Profiles
+	profiles.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,9 +125,13 @@ func run(args []string, out io.Writer) error {
 	// The two-level protocol's global level is the -interval/-write pair.
 	pc.TwoLevel.GlobalInterval, pc.TwoLevel.GlobalWrite = pc.Interval, pc.Write
 
-	var err error
 	if cfg.Net, err = network.Preset(*netPreset); err != nil {
 		return err
+	}
+	// Validated even with failures off, so a typo never passes silently.
+	recoveryKind, ok := recoveries[*recovery]
+	if !ok {
+		return fmt.Errorf("unknown recovery %q", *recovery)
 	}
 	if *bisection < 0 {
 		return fmt.Errorf("negative bisection bandwidth")
@@ -195,14 +202,19 @@ func run(args []string, out io.Writer) error {
 		cfg.Noise = &nz
 	}
 	if fl.MTBF != 0 {
-		kind, ok := recoveries[*recovery]
-		if !ok {
-			return fmt.Errorf("unknown recovery %q", *recovery)
-		}
-		fl.Kind = kind
+		fl.Kind = recoveryKind
 		cfg.Failures = &fl
 	}
 
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stopProfiles(); err == nil {
+			err = serr
+		}
+	}()
 	res, err := checkpointsim.Run(cfg)
 	if err != nil {
 		return err

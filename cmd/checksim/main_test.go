@@ -90,6 +90,7 @@ func TestBadFlagValues(t *testing.T) {
 		{"-mtbf", "bogus"},
 		{"-mtbf", "1s", "-restart", "bogus"},
 		{"-mtbf", "1s", "-recovery", "bogus"},
+		{"-recovery", "bogus"}, // failures off: still a typo
 		{"-noise-period", "bogus"},
 		{"-workload", "nonexistent"},
 	}
@@ -219,6 +220,19 @@ func TestZeroDurationMeansOff(t *testing.T) {
 		var sb strings.Builder
 		if err := run(append(base, flag, ""), &sb); err == nil {
 			t.Errorf("%s \"\" accepted", flag)
+		}
+	}
+}
+
+// -cpuprofile and -memprofile each write a pprof profile of the run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	capture(t, "-workload", "cg", "-ranks", "8", "-iters", "5",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written (%v)", filepath.Base(path), err)
 		}
 	}
 }

@@ -598,6 +598,12 @@ func (e *Engine) freeMsg(m *message) {
 // with errors.Is.
 var ErrCapExceeded = errors.New("cap exceeded")
 
+// QueueStats returns the event queue's work counters. They describe the
+// queue's internal layout, which a restored engine rebuilds from scratch,
+// so they stay out of Result: a resumed run must report what a monolithic
+// one does.
+func (e *Engine) QueueStats() eventq.Stats { return e.queue.Stats() }
+
 // Run executes the simulation to completion and returns its results. An
 // engine runs once; calling Run again returns an error.
 func (e *Engine) Run() (*Result, error) {
